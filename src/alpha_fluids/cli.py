@@ -5,7 +5,7 @@
 The positional experiment must agree with the config's [run] experiment (a
 guard against launching the wrong file).  --threads falls back to the
 ALPHA_FLUIDS_THREADS environment variable, then 1.  Exit status: 0 success,
-1 usage or configuration error, 2 numerical abort.
+1 usage, configuration or other bad-input (e.g. CFL) error, 2 numerical abort.
 """
 
 from __future__ import annotations
@@ -57,11 +57,7 @@ def main(argv=None) -> int:
     outdir = args.out or cfg.get("run", "out") or os.path.join("runs", cfg.experiment)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed", 0)
     threads = args.threads if args.threads is not None else _default_threads()
-    try:
-        return run_experiment(cfg, outdir, seed=seed, threads=threads)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    return run_experiment(cfg, outdir, seed=seed, threads=threads)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,7 @@
 Particles realizing eta(t, x) on a reference lattice are advected with RK4
 through a time-indexed velocity source.  Nonuniform velocity evaluation is
 exact Fourier summation restricted to the (thresholded) live mode block, so
-evaluation error stays at roundoff; bilinear interpolation exists as an
-explicitly flagged fast path and is never used by the verification routines.
+evaluation error stays at roundoff.
 
 Positions are stored unwrapped (eta of a degree-one periodic map), which makes
 the centered-difference Jacobian of volume_check smooth across the seam.
@@ -19,7 +18,7 @@ import numpy as np
 
 from .dynamics import DissipationMode, VorticityState, step_rk4
 from .helmholtz import helmholtz_apply
-from .spectral import AlphaParam, SpectralField, TorusGrid2D, derivative, to_physical
+from .spectral import TWO_PI, AlphaParam, SpectralField, TorusGrid2D, derivative
 
 _EVAL_TRUNCATION = 1e-16  # relative: modes below this cannot move max error past 1e-13
 
@@ -69,12 +68,41 @@ def make_lattice(grid: TorusGrid2D, m: int) -> FlowMap:
 # -- nonuniform evaluation -----------------------------------------------------------
 
 
+def _trig_table(coord: np.ndarray, h: float, j: np.ndarray) -> np.ndarray:
+    """Rows cos(j h coord) then sin(j h coord), (2 len(j), P), for j >= 0.
+
+    exp(i j h x) is the product of exactly computed exp(i lo h x) and
+    exp(i b hi h x), j = lo + b hi: about 2 ulp whatever j is, unlike a running
+    product, from only about 2 sqrt(max j) complex exponentials per point."""
+    top = int(j.max(initial=0))
+    b = math.isqrt(top) + 1
+    lo = np.exp(1j * np.outer(h * np.arange(b), coord))
+    hi = np.exp(1j * np.outer((h * b) * np.arange(top // b + 1), coord))
+    e = lo[j % b] * hi[j // b]
+    return np.concatenate((e.real, e.imag))
+
+
+def _fold(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct |j| and the (2 len(|j|), len(j)) matrix G with
+    exp(i j t) = G.T @ [cos(|j| t); sin(|j| t)] for every mode number in j."""
+    a = np.abs(j)
+    u = np.unique(a)
+    hit = (u[:, None] == a[None, :]).astype(float)
+    return u, np.concatenate((hit, 1j * np.sign(j) * hit))
+
+
 def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
     """Exact Fourier-sum evaluation of f at arbitrary points, (P,) or (P,2).
 
-    Sums u(x) = sum_k fhat(k) exp(i k.x) over the live mode block (modes below
+    Returns Re sum_k fhat(k) exp(i k.x) over the live mode block (modes below
     1e-16 of the peak are dropped; their total contribution is under 1e-13
-    relative).  Cost O(P * live modes).
+    relative).  As exp(i j h x) = cos(|j| h x) + i sign(j) sin(|j| h x), modes
+    +j and -j share table rows, and the sum is X.T C Y per point: X, Y the
+    cos/sin tables of the distinct |jx|, |jy|, C = Re(Gx fhat Gy.T).  This
+    identity assumes no Hermitian symmetry and no special Nyquist handling.
+    Cost for a live Kx x Ky block: O(P (sqrt(Kx) + sqrt(Ky))) exponentials,
+    O(P (Kx + Ky)) table products and O(P Kx Ky) real multiply-adds, a
+    quarter of the direct complex sum.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -84,54 +112,16 @@ def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
     g = f.grid
     c = f.coeffs if f.is_vector else f.coeffs[None, :, :]
     mags = np.abs(c).max(axis=0)
-    scale = mags.max()
-    if scale == 0.0:
-        out = np.zeros((pts.shape[0], c.shape[0]))
-        return out if f.is_vector else out[:, 0]
-    thr = _EVAL_TRUNCATION * scale
-    keep_x = mags.max(axis=1) > thr
-    keep_y = mags.max(axis=0) > thr
-    kxs = g.kx[keep_x, 0]
-    kys = g.ky[0, keep_y]
-    sub = c[:, keep_x][:, :, keep_y]                      # (r, Kx, Ky)
-    ex = np.exp(1j * np.outer(pts[:, 0], kxs))            # (P, Kx)
-    ey = np.exp(1j * np.outer(pts[:, 1], kys))            # (P, Ky)
-    t = sub @ ey.T                                        # (r, Kx, P)
-    out = np.einsum("pk,rkp->pr", ex, t).real
+    thr = _EVAL_TRUNCATION * mags.max()
+    jx = g.jx[mags.max(axis=1) > thr]
+    jy = g.jy[mags.max(axis=0) > thr]
+    ux, gx = _fold(jx)
+    uy, gy = _fold(jy)
+    folded = (gx @ c[:, jx][:, :, jy] @ gy.T).real        # (r, 2Ux, 2Uy)
+    x = _trig_table(pts[:, 0], TWO_PI / g.Lx, ux)          # (2Ux, P)
+    y = _trig_table(pts[:, 1], TWO_PI / g.Ly, uy)          # (2Uy, P)
+    out = np.einsum("ip,rip->pr", x, folded @ y)
     return out if f.is_vector else out[:, 0]
-
-
-def eval_velocity_at(u: SpectralField, points: np.ndarray, method: str = "exact") -> np.ndarray:
-    """Velocity at scattered points; method 'exact' (default) or 'bilinear'.
-
-    The bilinear path interpolates collocation samples and is approximate; it
-    exists for throughput experiments and is rejected by verification code.
-    """
-    if method == "exact":
-        return eval_field_at(u, points)
-    if method != "bilinear":
-        raise ValueError(f"unknown evaluation method {method!r}")
-    pts = np.asarray(points, dtype=float)
-    g = u.grid
-    samples = to_physical(u)
-    out = np.empty((pts.shape[0], 2))
-    fx = pts[:, 0] / (g.Lx / g.nx)
-    fy = pts[:, 1] / (g.Ly / g.ny)
-    i0 = np.floor(fx).astype(int) % g.nx
-    j0 = np.floor(fy).astype(int) % g.ny
-    tx = (fx - np.floor(fx))[None, :]
-    ty = (fy - np.floor(fy))[None, :]
-    i1 = (i0 + 1) % g.nx
-    j1 = (j0 + 1) % g.ny
-    for comp in range(2):
-        s = samples[comp]
-        out[:, comp] = (
-            s[i0, j0] * (1 - tx) * (1 - ty)
-            + s[i1, j0] * tx * (1 - ty)
-            + s[i0, j1] * (1 - tx) * ty
-            + s[i1, j1] * tx * ty
-        )[0]
-    return out
 
 
 # -- velocity sources -----------------------------------------------------------------
@@ -168,9 +158,10 @@ class SnapshotVelocity:
 
 
 def _rk4_particles(pos_flat: np.ndarray, source, t: float, dt: float) -> np.ndarray:
+    mid = source.at(t + 0.5 * dt)
     u1 = eval_field_at(source.at(t), pos_flat)
-    u2 = eval_field_at(source.at(t + 0.5 * dt), pos_flat + 0.5 * dt * u1)
-    u3 = eval_field_at(source.at(t + 0.5 * dt), pos_flat + 0.5 * dt * u2)
+    u2 = eval_field_at(mid, pos_flat + 0.5 * dt * u1)
+    u3 = eval_field_at(mid, pos_flat + 0.5 * dt * u2)
     u4 = eval_field_at(source.at(t + dt), pos_flat + dt * u3)
     return pos_flat + (dt / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
 

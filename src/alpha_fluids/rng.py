@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -69,9 +67,3 @@ def random_modes(rng: SplitMix64, kmax: int, slope: float) -> dict:
             table[(jx, jy)] = c
             table[(-jx, -jy)] = c.conjugate()
     return table
-
-
-def random_scalar_samples(rng: SplitMix64, shape: tuple, scale: float = 1.0) -> np.ndarray:
-    """Array of scale * (2 uniform - 1) draws in row-major order."""
-    flat = np.array([2.0 * rng.uniform() - 1.0 for _ in range(int(np.prod(shape)))])
-    return scale * flat.reshape(shape)

@@ -6,11 +6,14 @@ import os
 import numpy as np
 import pytest
 
+from alpha_fluids import runner
 from alpha_fluids.checkpoint import read_checkpoint, write_checkpoint
 from alpha_fluids.cli import main
 from alpha_fluids.config import parse_config
 from alpha_fluids.dynamics import DissipationMode, run
 from alpha_fluids.runner import run_experiment
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 SMALL_2D = """
 [run]
@@ -117,6 +120,36 @@ class TestNumericalAbort:
         assert manifest["status"] == "INCOMPLETE"
         assert "t_last_good" in manifest
         assert (out / "series.csv").exists()  # partial series still emitted
+
+    def test_nonfinite_particles_yield_incomplete_manifest_and_exit_2(self, tmp_path, monkeypatch):
+        def lost(*args, **kwargs):
+            raise FloatingPointError("particle positions lost finiteness at t=0.001")
+
+        monkeypatch.setattr(runner, "co_advect", lost)
+        out = tmp_path / "particles"
+        assert main(["flowmap", "--config", os.path.join(CONFIG_DIR, "flowmap_transport.cfg"), "--out", str(out)]) == 2
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert "finiteness" in manifest["abort_reason"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "name, experiment", [("conservation_128.cfg", "simulate2d"), ("flowmap_transport.cfg", "flowmap")]
+    )
+    def test_cfl_violation_is_exit_1_with_incomplete_manifest(self, tmp_path, capsys, name, experiment):
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            text = fh.read()
+        assert "dt = 1e-3" in text
+        cfg_path = tmp_path / name
+        cfg_path.write_text(text.replace("dt = 1e-3", "dt = 0.5"))
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: CFL number")
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert manifest["abort_reason"].startswith("CFL number")
 
 
 class TestCsvFormat:

@@ -5,13 +5,13 @@ import pytest
 
 from alpha_fluids.dynamics import DissipationMode, VorticityState, run
 from alpha_fluids.flowmap import (
+    _EVAL_TRUNCATION,
     FlowMap,
     FrozenVelocity,
     SnapshotVelocity,
     advect_flow_map,
     co_advect,
     eval_field_at,
-    eval_velocity_at,
     exponential_map,
     flow_map_distance,
     make_lattice,
@@ -26,6 +26,7 @@ from alpha_fluids.spectral import (
     cosine_field,
     dealias_two_thirds,
     derivative,
+    hermitianize,
     make_grid,
     to_physical,
     to_spectral,
@@ -44,11 +45,128 @@ def two_mode_setup(grid, a=0.2, amps=(0.25, 0.2)):
     return VorticityState(q0, alpha)
 
 
+def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
+    """Oracle: the full complex direct sum over the live mode block.
+
+    Sums u(x) = sum_k fhat(k) exp(i k.x) over the live mode block (modes below
+    1e-16 of the peak are dropped; their total contribution is under 1e-13
+    relative).  Cost O(P * live modes).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return np.zeros((0, 2) if f.is_vector else (0,))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be (P, 2)")
+    g = f.grid
+    c = f.coeffs if f.is_vector else f.coeffs[None, :, :]
+    mags = np.abs(c).max(axis=0)
+    scale = mags.max()
+    if scale == 0.0:
+        out = np.zeros((pts.shape[0], c.shape[0]))
+        return out if f.is_vector else out[:, 0]
+    thr = _EVAL_TRUNCATION * scale
+    keep_x = mags.max(axis=1) > thr
+    keep_y = mags.max(axis=0) > thr
+    kxs = g.kx[keep_x, 0]
+    kys = g.ky[0, keep_y]
+    sub = c[:, keep_x][:, :, keep_y]                      # (r, Kx, Ky)
+    ex = np.exp(1j * np.outer(pts[:, 0], kxs))            # (P, Kx)
+    ey = np.exp(1j * np.outer(pts[:, 1], kys))            # (P, Ky)
+    t = sub @ ey.T                                        # (r, Kx, P)
+    out = np.einsum("pk,rkp->pr", ex, t).real
+    return out if f.is_vector else out[:, 0]
+
+
+def band_limited_field(grid, kmax, vector, rng, hermitian=True):
+    """Random coefficients on |jx|, |jy| <= kmax (kmax = n/2 keeps the Nyquist modes)."""
+    shape = (2, grid.nx, grid.ny) if vector else grid.shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c *= (np.abs(grid.jx)[:, None] <= kmax) & (np.abs(grid.jy)[None, :] <= kmax)
+    f = SpectralField(grid, c)
+    return hermitianize(f) if hermitian else f
+
+
+def assert_matches_oracle(f, pts):
+    new = eval_field_at(f, pts)
+    ref = direct_sum_eval_field_at(f, pts)
+    assert new.shape == ref.shape
+    assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+GRIDS = [(32, 32, 2 * np.pi, 2 * np.pi), (24, 40, 3.0, 7.5)]
+
+
+class TestEvalFieldOracle:
+    """The folded real-table sum against the complex direct sum, to 1e-13 relative."""
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("shape", GRIDS)
+    def test_band_limited(self, shape, vector):
+        g = make_grid(*shape)
+        rng = np.random.default_rng(7)
+        f = band_limited_field(g, 6, vector, rng)
+        pts = rng.uniform(0.0, 1.0, (300, 2)) * [g.Lx, g.Ly]
+        assert_matches_oracle(f, pts)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("shape", GRIDS)
+    def test_nyquist_row_and_column(self, shape, vector):
+        g = make_grid(*shape)
+        rng = np.random.default_rng(8)
+        f = to_spectral(g, rng.standard_normal((2, *g.shape) if vector else g.shape))
+        c = f.coeffs if vector else f.coeffs[None]
+        assert np.abs(c[:, g.nx // 2, :]).min() > 1e-6  # white noise keeps every mode live
+        assert np.abs(c[:, :, g.ny // 2]).min() > 1e-6
+        pts = rng.uniform(-1.0, 2.0, (300, 2)) * [g.Lx, g.Ly]
+        assert_matches_oracle(f, pts)
+
+    def test_general_complex_coefficients(self):
+        # the fold is an identity: Re of the full sum, with no symmetry assumed
+        g = make_grid(*GRIDS[1])
+        rng = np.random.default_rng(9)
+        f = band_limited_field(g, g.nx // 2, True, rng, hermitian=False)
+        assert_matches_oracle(f, rng.uniform(0.0, 1.0, (200, 2)) * [g.Lx, g.Ly])
+
+    def test_truncated_to_few_live_modes(self):
+        g = make_grid(32, 32)
+        rng = np.random.default_rng(10)
+        f = cosine_field(g, (3, 0), 0.8) + cosine_field(g, (1, -5), 0.3, 0.4)
+        dust = 1e-18 * band_limited_field(g, 16, False, rng)  # below the truncation level
+        f = f + dust
+        pts = rng.uniform(0.0, 2 * np.pi, (200, 2))
+        assert_matches_oracle(f, pts)
+        exact = 0.8 * np.cos(3 * pts[:, 0]) + 0.3 * np.cos(pts[:, 0] - 5 * pts[:, 1] + 0.4)
+        assert np.abs(eval_field_at(f, pts) - exact).max() < 1e-13
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_zero_field_and_empty_points(self, vector):
+        g = make_grid(*GRIDS[1])
+        zero = SpectralField(g, np.zeros((2, *g.shape) if vector else g.shape))
+        live = band_limited_field(g, 4, vector, np.random.default_rng(11))
+        pts = np.array([[0.3, 1.1], [4.0, 5.5]])
+        for field, p in ((zero, pts), (zero, pts[:0]), (live, pts[:0])):
+            new = eval_field_at(field, p)
+            ref = direct_sum_eval_field_at(field, p)
+            assert new.shape == ref.shape
+            assert np.all(new == 0.0) and np.all(ref == 0.0)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("shape", GRIDS)
+    def test_unwrapped_far_points(self, shape, vector):
+        # phases k.x near |x| = 100 carry argument rounding of order ulp(k.x)
+        # in either sum; a band of |j| <= 8 keeps that under the gate
+        g = make_grid(*shape)
+        rng = np.random.default_rng(12)
+        f = band_limited_field(g, 8, vector, rng)
+        pts = rng.uniform(-100.0, 100.0, (300, 2))
+        assert_matches_oracle(f, pts)
+
+
 class TestEvalVelocity:
     def test_closed_form_point(self):
         g = make_grid(32, 32)
         u = shear_field(g)
-        out = eval_velocity_at(u, np.array([[0.0, np.pi / 2]]))
+        out = eval_field_at(u, np.array([[0.0, np.pi / 2]]))
         assert out[0, 0] == pytest.approx(1.0, abs=1e-13)
         assert out[0, 1] == pytest.approx(0.0, abs=1e-13)
 
@@ -58,14 +176,14 @@ class TestEvalVelocity:
         u = to_spectral(g, rng.standard_normal((2, 32, 32)))
         X, Y = g.nodes()
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        vals = eval_velocity_at(u, pts)
+        vals = eval_field_at(u, pts)
         samples = to_physical(u)
         assert np.abs(vals[:, 0] - samples[0].ravel()).max() < 1e-13
         assert np.abs(vals[:, 1] - samples[1].ravel()).max() < 1e-13
 
     def test_empty_points(self):
         g = make_grid(16, 16)
-        out = eval_velocity_at(shear_field(g), np.zeros((0, 2)))
+        out = eval_field_at(shear_field(g), np.zeros((0, 2)))
         assert out.shape == (0, 2)
 
     def test_scalar_field_eval(self):
@@ -74,16 +192,6 @@ class TestEvalVelocity:
         pts = np.array([[0.3, 1.1], [4.0, 5.5]])
         vals = eval_field_at(f, pts)
         assert np.abs(vals - np.cos(2 * pts[:, 0] + pts[:, 1])).max() < 1e-13
-
-    def test_bilinear_flagged_path(self):
-        g = make_grid(64, 64)
-        u = shear_field(g)
-        pts = np.array([[1.0, 2.0]])
-        exact = eval_velocity_at(u, pts)
-        approx = eval_velocity_at(u, pts, method="bilinear")
-        assert np.abs(exact - approx).max() < 1e-2  # interpolation-level accuracy
-        with pytest.raises(ValueError):
-            eval_velocity_at(u, pts, method="cubic")
 
 
 class TestAdvectFlowMap:
