@@ -34,6 +34,7 @@ from .spectral import (
     grad_components,
     hermitianize,
     to_physical,
+    to_physical_padded,
     to_spectral,
 )
 
@@ -41,7 +42,8 @@ BLOWUP_LIMIT = 1e12
 
 
 class BlowUpError(RuntimeError):
-    """Integration aborted: state left the finite range. Carries last good time."""
+    """Integration aborted: the state left the finite range or outgrew the CFL
+    limit during the run.  Carries the last good time."""
 
     def __init__(self, t_last_good: float, message: str = ""):
         self.t_last_good = t_last_good
@@ -80,9 +82,9 @@ class DissipationMode:
 class VorticityState:
     """Potential vorticity q plus alpha, time, and the mean velocity.
 
-    Immutable value; derived omega / psi / u are computed lazily and cached on
-    the instance.  q must have (numerically) zero mean: a nonzero mean vorticity
-    is not the curl of any periodic velocity field.
+    Immutable value; derived omega, u and the physical u samples are computed
+    lazily and cached on the instance.  q must have (numerically) zero mean: a
+    nonzero mean vorticity is not the curl of any periodic velocity field.
     """
 
     def __init__(
@@ -102,63 +104,66 @@ class VorticityState:
         self.alpha = alpha
         self.t = float(t)
         self.mean_velocity = np.array(mean_velocity, dtype=float)
-        self._cache: dict[str, SpectralField] = {}
+        self._cache: dict = {}
+        self._from_solver = False
 
     @property
     def grid(self) -> TorusGrid2D:
         return self.q.grid
 
     def with_q(self, q: SpectralField, t: float) -> "VorticityState":
-        return VorticityState(q, self.alpha, t, self.mean_velocity)
+        """State at time t with the same alpha and mean velocity.
+
+        q is taken as it is, without the constructor's checks: it must be
+        exactly Hermitian with zero mean, as every q the solver builds from a
+        checked state is.
+        """
+        new = object.__new__(VorticityState)
+        new.q, new.alpha, new.t, new.mean_velocity = q, self.alpha, float(t), self.mean_velocity
+        new._cache = {}
+        new._from_solver = True
+        return new
 
     def omega(self) -> SpectralField:
         if "omega" not in self._cache:
             self._cache["omega"] = helmholtz_inverse(self.q, self.alpha)
         return self._cache["omega"]
 
-    def psi(self) -> SpectralField:
-        if "psi" not in self._cache:
-            g = self.grid
-            ksq = np.where(g.k_sq > 0.0, g.k_sq, 1.0)
-            c = -self.omega().coeffs / ksq
-            c[0, 0] = 0.0
-            self._cache["psi"] = SpectralField(g, c)
-        return self._cache["psi"]
-
     def velocity(self) -> SpectralField:
         if "u" not in self._cache:
-            u = derivative(self.psi(), "perp_gradient")
-            c = u.coeffs.copy()
-            c[:, 0, 0] = self.mean_velocity
-            self._cache["u"] = SpectralField(self.grid, c)
+            self._cache["u"] = velocity_from_q(self.q, self.alpha, self.mean_velocity)
         return self._cache["u"]
+
+    def velocity_samples(self) -> np.ndarray:
+        """Physical velocity samples (2, nx, ny), computed once per state."""
+        if "u_samples" not in self._cache:
+            self._cache["u_samples"] = to_physical(self.velocity())
+        return self._cache["u_samples"]
 
 
 def velocity_from_q(q: SpectralField, alpha: AlphaParam, mean_velocity=(0.0, 0.0)) -> SpectralField:
     """Invert q -> u: omega = (1-a^2 Lap)^{-1} q, Lap psi = omega, u = perp_grad psi."""
     g = q.grid
-    omega = helmholtz_inverse(q, alpha)
     ksq = np.where(g.k_sq > 0.0, g.k_sq, 1.0)
-    psi_c = -omega.coeffs / ksq
+    psi_c = helmholtz_inverse(q, alpha).coeffs / -ksq
     psi_c[0, 0] = 0.0
-    u = derivative(SpectralField(g, psi_c), "perp_gradient")
-    c = u.coeffs.copy()
-    c[:, 0, 0] = np.asarray(mean_velocity, dtype=float)
-    return SpectralField(g, c)
+    u = derivative(SpectralField._adopt(g, psi_c), "perp_gradient")
+    # u owns a fresh array that nothing else references yet: set its mean in place
+    u.coeffs.flags.writeable = True
+    u.coeffs[:, 0, 0] = mean_velocity
+    u.coeffs.flags.writeable = False
+    return u
 
 
-def _advection(u: SpectralField, q: SpectralField) -> SpectralField:
-    """Dealiased pseudospectral u . grad q."""
-    g = q.grid
-    gq = derivative(q, "gradient")
-    up = to_physical(u)
-    gqp = to_physical(gq)
-    return dealias_two_thirds(to_spectral(g, up[0] * gqp[0] + up[1] * gqp[1]))
+def _advection(up: np.ndarray, q: SpectralField) -> SpectralField:
+    """Dealiased pseudospectral u . grad q from physical velocity samples up."""
+    gqp = to_physical(derivative(q, "gradient"))
+    return dealias_two_thirds(to_spectral(q.grid, up[0] * gqp[0] + up[1] * gqp[1]))
 
 
 def rhs_vorticity(state: VorticityState, mode: DissipationMode) -> SpectralField:
     """dq/dt = -dealias(u . grad q) + {0 | nu Lap omega | nu Lap q}."""
-    out = -1.0 * _advection(state.velocity(), state.q)
+    out = -1.0 * _advection(state.velocity_samples(), state.q)
     if mode.variant == "viscous":
         out = out + mode.nu * derivative(state.omega(), "laplacian")
     elif mode.variant == "strong":
@@ -167,30 +172,39 @@ def rhs_vorticity(state: VorticityState, mode: DissipationMode) -> SpectralField
 
 
 def _cfl_number(state: VorticityState, dt: float) -> float:
-    u = to_physical(state.velocity())
-    umax = float(np.abs(u).max())
+    """dt * max|u| * kmax, from the state's cached physical velocity."""
+    umax = float(np.abs(state.velocity_samples()).max())
     g = state.grid
     kmax = max(2.0 * math.pi / g.Lx * (g.nx // 3), 2.0 * math.pi / g.Ly * (g.ny // 3))
     return dt * umax * kmax
 
 
 def step_rk4(state: VorticityState, dt: float, mode: DissipationMode, check_cfl: bool = True) -> VorticityState:
-    """One classical RK4 step on qhat; re-hermitianizes and dealiases the result."""
+    """One classical RK4 step on qhat; dealiases the result.
+
+    The CFL check reads the physical velocity that the first stage already
+    computed, so it costs no transform.  CFL >= 1 on a caller's state is bad
+    input (ValueError); on a state an earlier step built, the flow has outgrown
+    dt during the run (BlowUpError).  Every stage stays exactly Hermitian (see
+    spectral), so no symmetrization is needed.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    q, t = state.q, state.t
+    k1 = rhs_vorticity(state, mode)
     if check_cfl:
         c = _cfl_number(state, dt)
         if c >= 1.0:
-            raise ValueError(f"CFL number {c:.2f} >= 1; reduce dt")
+            message = f"CFL number {c:.2f} >= 1; reduce dt"
+            if state._from_solver:
+                raise BlowUpError(t, message)
+            raise ValueError(message)
         if c > 0.5:
             warnings.warn(f"CFL number {c:.2f} > 0.5; accuracy degraded", stacklevel=2)
-    q, t = state.q, state.t
-    k1 = rhs_vorticity(state, mode)
     k2 = rhs_vorticity(state.with_q(q + 0.5 * dt * k1, t + 0.5 * dt), mode)
     k3 = rhs_vorticity(state.with_q(q + 0.5 * dt * k2, t + 0.5 * dt), mode)
     k4 = rhs_vorticity(state.with_q(q + dt * k3, t + dt), mode)
-    q_new = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    q_new = hermitianize(dealias_two_thirds(q_new))
+    q_new = dealias_two_thirds(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     scale = np.abs(q_new.coeffs).max()
     if not np.isfinite(scale) or scale > BLOWUP_LIMIT:
         raise BlowUpError(t)
@@ -227,9 +241,7 @@ def _exact_moment(q: SpectralField, n: int) -> float:
     sy = int(np.abs(g.jy)[mags.max(axis=0) > 1e-300].max(initial=0))
     need_x = max(g.nx, 2 * ((n * sx + 2 + 1) // 2))
     need_y = max(g.ny, 2 * ((n * sy + 2 + 1) // 2))
-    big = np.zeros((need_x, need_y), dtype=np.complex128)
-    big[np.ix_(np.fft.fftfreq(g.nx, 1.0 / g.nx).astype(int), np.fft.fftfreq(g.ny, 1.0 / g.ny).astype(int))] = q.coeffs
-    samples = np.fft.ifft2(big * (need_x * need_y)).real
+    samples = to_physical_padded(q, (need_x, need_y))
     return float(g.area * (samples**n).mean())
 
 
@@ -351,7 +363,7 @@ def step_third_grade_rk4(u: SpectralField, dt: float, p: ThirdGradeParams) -> Sp
     k3 = third_grade_rhs(u + 0.5 * dt * k2, p)
     k4 = third_grade_rhs(u + dt * k3, p)
     u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    u_new = leray_project(dealias_two_thirds(hermitianize(u_new)))
+    u_new = leray_project(dealias_two_thirds(u_new))
     if not np.isfinite(np.abs(u_new.coeffs).max()):
         raise BlowUpError(float("nan"), "third-grade integration lost finiteness")
     return u_new

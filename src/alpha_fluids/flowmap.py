@@ -207,8 +207,8 @@ def co_advect(
     n_steps = max(1, round(T / dt))
     u_prev = state.velocity()
     t0 = state.t
-    for step in range(n_steps):
-        new_state = step_rk4(state, dt, mode, check_cfl=(step == 0))
+    for _ in range(n_steps):
+        new_state = step_rk4(state, dt, mode)
         u_next = new_state.velocity()
         source = SnapshotVelocity(state.t, dt, [u_prev, u_next])
         pos = _rk4_particles(pos, source, state.t, dt)

@@ -18,12 +18,12 @@ from .spectral import AlphaParam, SpectralField
 
 def helmholtz_apply(f: SpectralField, alpha: AlphaParam) -> SpectralField:
     """(1 - alpha^2 Laplacian) f, componentwise multiplier 1 + alpha^2 |k|^2."""
-    return SpectralField(f.grid, (1.0 + alpha.alpha_sq * f.grid.k_sq) * f.coeffs)
+    return SpectralField._adopt(f.grid, (1.0 + alpha.alpha_sq * f.grid.k_sq) * f.coeffs)
 
 
 def helmholtz_inverse(f: SpectralField, alpha: AlphaParam) -> SpectralField:
     """(1 - alpha^2 Laplacian)^{-1} f; uniformly invertible for alpha >= 0."""
-    return SpectralField(f.grid, f.coeffs / (1.0 + alpha.alpha_sq * f.grid.k_sq))
+    return SpectralField._adopt(f.grid, f.coeffs / (1.0 + alpha.alpha_sq * f.grid.k_sq))
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -39,7 +39,7 @@ def leray_project(u: SpectralField) -> SpectralField:
     kdot = (g.kx * u.coeffs[0] + g.ky * u.coeffs[1]) / ksq
     out = np.stack([u.coeffs[0] - g.kx * kdot, u.coeffs[1] - g.ky * kdot])
     out[:, 0, 0] = u.coeffs[:, 0, 0]
-    return SpectralField(g, out)
+    return SpectralField._adopt(g, out)
 
 
 def stokes_project(F: SpectralField, alpha: AlphaParam) -> SpectralField:
@@ -69,7 +69,7 @@ def stokes_project(F: SpectralField, alpha: AlphaParam) -> SpectralField:
     v1 = (g1 - 1j * g.ky * phat) / m
     out = np.stack([v0, v1])
     out[:, 0, 0] = F.coeffs[:, 0, 0]
-    return SpectralField(g, out)
+    return SpectralField._adopt(g, out)
 
 
 # -- 1D Dirichlet Helmholtz solve -------------------------------------------------

@@ -9,8 +9,9 @@ byte-identical across reruns of the same (config, seed) in single-threaded
 mode; the manifest additionally records wall time, which is exempt.
 
 Exit status contract: 0 success; 1 bad input (a ValueError such as a CFL
-violation), with one ``error:`` line on stderr; 2 numerical abort (blow-up,
-non-finite particles).  Failures leave an INCOMPLETE manifest with a reason.
+violation by the initial state), with one ``error:`` line on stderr; 2
+numerical abort (blow-up, a CFL number the run grows into, non-finite
+particles).  Failures leave an INCOMPLETE manifest with a reason.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def _exp_simulate2d(cfg: RunConfig, outdir: str, seed: int) -> dict:
     n_steps = max(1, round(T / dt))
     try:
         for step in range(1, n_steps + 1):
-            state = step_rk4(state, dt, mode, check_cfl=(step == 1))
+            state = step_rk4(state, dt, mode)
             if every and step % every == 0:
                 record(state)
             if ckpt_every and step % ckpt_every == 0:

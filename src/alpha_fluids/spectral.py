@@ -15,8 +15,16 @@ Conventions
   derivative is not representable).
 * Discrete Parseval with this normalization: mean(f^2) = sum_k |fhat(k)|^2,
   i.e. (1/S) * integral(f^2) = sum |fhat|^2 with S = Lx*Ly.
+* Transforms are real-to-complex (scipy.fft rfft2/irfft2).  to_spectral
+  fills the jy < 0 half by conjugate mirror and symmetrizes the two
+  self-conjugate columns jy = 0 and jy = ny/2, so its output is exactly
+  Hermitian by construction; real linear combinations and the i*k and |k|^2
+  multipliers keep it so.  to_physical reads only the jy >= 0 half, so a
+  non-Hermitian array is not valid input to it.
 
-Fields are immutable values; all operations return new fields.
+Fields are immutable values; all operations return new fields.  Results of
+this module's operations own fresh read-only arrays; the public constructor
+copies a caller's writeable array.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +130,19 @@ class SpectralField:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _adopt(cls, grid: TorusGrid2D, coeffs: np.ndarray) -> "SpectralField":
+        """Wrap a freshly computed coefficient array, read-only, without a copy.
+
+        For this package's own results: the array must have a valid shape and
+        dtype complex128, and nothing else may hold a reference to it.
+        """
+        coeffs.flags.writeable = False
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "coeffs", coeffs)
+        return f
+
     @property
     def rank(self) -> str:
         return "vector" if self.coeffs.ndim == 3 else "scalar"
@@ -143,19 +165,19 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compat(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return SpectralField._adopt(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compat(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return SpectralField._adopt(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, c: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * float(c))
+        return SpectralField._adopt(self.grid, self.coeffs * float(c))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
+        return SpectralField._adopt(self.grid, -self.coeffs)
 
 
 def zero_field(grid: TorusGrid2D, rank: str = "scalar") -> SpectralField:
@@ -167,29 +189,60 @@ def zero_field(grid: TorusGrid2D, rank: str = "scalar") -> SpectralField:
 
 
 def to_spectral(grid: TorusGrid2D, samples: np.ndarray) -> SpectralField:
-    """Forward transform of real samples, (nx,ny) or (2,nx,ny); divides by nx*ny."""
+    """Forward transform of real samples, (nx,ny) or (2,nx,ny); divides by nx*ny.
+
+    The output is exactly Hermitian: the jy < 0 half is the conjugate mirror
+    of the real transform's half, and the columns jy = 0 and jy = ny/2, each
+    its own mirror, are symmetrized.
+    """
     s = np.asarray(samples, dtype=float)
     if s.shape not in ((grid.nx, grid.ny), (2, grid.nx, grid.ny)):
         raise ValueError(f"sample shape {s.shape} does not match grid {grid.shape}")
-    coeffs = np.fft.fft2(s, axes=(-2, -1)) / (grid.nx * grid.ny)
-    return SpectralField(grid, coeffs)
+    h = grid.ny // 2
+    half = scipy.fft.rfft2(s, norm="forward")
+    c = np.empty(s.shape, dtype=np.complex128)
+    c[..., : h + 1] = half
+    # c[jx, -jy] = conj(c[-jx, jy]) for 0 < jy < ny/2; -jx is row 0 for jx = 0, else row nx - jx
+    np.conjugate(half[..., 0, h - 1 : 0 : -1], out=c[..., 0, h + 1 :])
+    np.conjugate(half[..., :0:-1, h - 1 : 0 : -1], out=c[..., 1:, h + 1 :])
+    # the columns jy = 0 and ny/2 are their own mirrors (index -jx wraps to row -jx mod nx)
+    ends = half[..., [0, h]]
+    c[..., [0, h]] = 0.5 * (ends + np.conj(ends[..., -grid.jx, :]))
+    return SpectralField._adopt(grid, c)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Inverse transform to real samples."""
-    n = f.grid.nx * f.grid.ny
-    return np.fft.ifft2(f.coeffs * n, axes=(-2, -1)).real
+    """Inverse transform to real samples; reads only the jy >= 0 half of f.coeffs."""
+    g = f.grid
+    return scipy.fft.irfft2(f.coeffs[..., : g.ny // 2 + 1], s=g.shape, norm="forward")
 
 
-def transform(obj, direction: str = "forward", grid: TorusGrid2D | None = None):
-    """Directional dispatcher: forward needs (samples, grid=...), inverse a field."""
-    if direction == "forward":
-        if grid is None:
-            raise ValueError("forward transform needs the target grid")
-        return to_spectral(grid, obj)
-    if direction == "inverse":
-        return to_physical(obj)
-    raise ValueError(f"unknown direction {direction!r}")
+def to_physical_padded(f: SpectralField, shape: tuple[int, int]) -> np.ndarray:
+    """Samples of f on a finer mx x my grid (exact band-limited interpolation).
+
+    Equals the real part of the inverse transform of the zero-padded full
+    spectrum with each Nyquist mode j = -n/2 at index -n/2 of the larger grid,
+    computed as irfft2 of the Hermitian part's jy >= 0 half.  That half holds
+    (c[k] + conj(c[-k]))/2 over the small band, so a Nyquist row or column
+    counts half at -n/2 and half, mirrored, at +n/2.
+    """
+    g = f.grid
+    mx, my = shape
+    if mx < g.nx or my < g.ny:
+        raise ValueError(f"padded grid {shape} is smaller than {g.shape}")
+    c = f.coeffs
+    h = g.ny // 2
+    rows = g.jx % mx  # row of mode jx on the larger grid
+    mirror_rows = -g.jx % mx  # row of mode -jx
+    half = np.zeros(c.shape[:-2] + (mx, my // 2 + 1), dtype=np.complex128)
+    half[..., rows, :h] = c[..., :h]
+    if my == g.ny:  # mode -ny/2 is +ny/2 on an unpadded axis
+        half[..., rows, h] = c[..., h]
+    # the mirror term conj(c[-k]) at k = (jx, jy), 0 <= jy <= ny/2
+    half[..., mirror_rows, 0] += np.conj(c[..., 0])
+    half[..., mirror_rows, 1 : h + 1] += np.conj(c[..., : h - 1 : -1])
+    half *= 0.5
+    return scipy.fft.irfft2(half, s=(mx, my), norm="forward")
 
 
 # -- differentiation -----------------------------------------------------------
@@ -222,36 +275,33 @@ def derivative(f: SpectralField, op: str) -> SpectralField:
             out = 1j * g.ky * c
         else:
             out = -g.k_sq * c
-        return SpectralField(g, _zero_nyquist(g, out))
-    if op in _SCALAR_TO_VECTOR:
+    elif op in _SCALAR_TO_VECTOR:
         if f.is_vector:
             raise ValueError(f"{op} expects a scalar field")
-        dx = 1j * g.kx * c
-        dy = 1j * g.ky * c
-        out = np.stack([-dy, dx]) if op == "perp_gradient" else np.stack([dx, dy])
-        return SpectralField(g, _zero_nyquist(g, out))
-    if op in _VECTOR_TO_SCALAR:
+        out = np.empty((2,) + c.shape, dtype=np.complex128)
+        if op == "gradient":
+            np.multiply(1j * g.kx, c, out=out[0])
+            np.multiply(1j * g.ky, c, out=out[1])
+        else:
+            np.multiply(-1j * g.ky, c, out=out[0])
+            np.multiply(1j * g.kx, c, out=out[1])
+    elif op in _VECTOR_TO_SCALAR:
         if not f.is_vector:
             raise ValueError(f"{op} expects a vector field")
         if op == "divergence":
             out = 1j * g.kx * c[0] + 1j * g.ky * c[1]
         else:
             out = 1j * g.kx * c[1] - 1j * g.ky * c[0]
-        return SpectralField(g, _zero_nyquist(g, out))
-    raise ValueError(f"unknown derivative op {op!r}")
+    else:
+        raise ValueError(f"unknown derivative op {op!r}")
+    return SpectralField._adopt(g, _zero_nyquist(g, out))
 
 
 def grad_components(u: SpectralField) -> np.ndarray:
     """Physical-space velocity gradient samples G[i,j] = d_j u^i, shape (2,2,nx,ny)."""
     if not u.is_vector:
         raise ValueError("grad_components expects a vector field")
-    g = u.grid
-    out = np.empty((2, 2, g.nx, g.ny))
-    for i in range(2):
-        ci = u.coeffs[i]
-        out[i, 0] = to_physical(SpectralField(g, _zero_nyquist(g, 1j * g.kx * ci)))
-        out[i, 1] = to_physical(SpectralField(g, _zero_nyquist(g, 1j * g.ky * ci)))
-    return out
+    return np.stack([to_physical(derivative(u.component(i), "gradient")) for i in range(2)])
 
 
 # -- dealiasing ----------------------------------------------------------------
@@ -261,7 +311,7 @@ def dealias_modes(f: SpectralField, jx_max: int, jy_max: int) -> SpectralField:
     """Zero all coefficients with |jx| > jx_max or |jy| > jy_max."""
     g = f.grid
     keep = (np.abs(g.jx)[:, None] <= jx_max) & (np.abs(g.jy)[None, :] <= jy_max)
-    return SpectralField(g, np.where(keep, f.coeffs, 0.0))
+    return SpectralField._adopt(g, np.where(keep, f.coeffs, 0.0))
 
 
 def dealias_two_thirds(f: SpectralField) -> SpectralField:
@@ -295,18 +345,6 @@ def divergence_defect(u: SpectralField) -> float:
     return float(dot.max() / smax)
 
 
-def _pad2x_samples(f: SpectralField) -> np.ndarray:
-    """Samples of f on the doubled grid (exact band-limited interpolation)."""
-    g = f.grid
-    nx2, ny2 = 2 * g.nx, 2 * g.ny
-    shape = f.coeffs.shape[:-2] + (nx2, ny2)
-    big = np.zeros(shape, dtype=np.complex128)
-    ix = np.fft.fftfreq(g.nx, d=1.0 / g.nx).astype(int)
-    iy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(int)
-    big[..., ix[:, None], iy[None, :]] = f.coeffs
-    return np.fft.ifft2(big * (nx2 * ny2), axes=(-2, -1)).real
-
-
 def inner_product_alpha(
     u: SpectralField, v: SpectralField, alpha: AlphaParam, method: str = "auto"
 ) -> float:
@@ -332,10 +370,11 @@ def inner_product_alpha(
     if method != "deformation":
         raise ValueError(f"unknown method {method!r}")
     # Def-tensor quadrature on the doubled grid: exact for band-limited inputs
-    du = [_pad2x_samples(derivative(u.component(i), ax)) for i in range(2) for ax in ("x", "y")]
-    dv = [_pad2x_samples(derivative(v.component(i), ax)) for i in range(2) for ax in ("x", "y")]
-    us = _pad2x_samples(u)
-    vs = _pad2x_samples(v)
+    fine = (2 * g.nx, 2 * g.ny)
+    du = [to_physical_padded(derivative(u.component(i), ax), fine) for i in range(2) for ax in ("x", "y")]
+    dv = [to_physical_padded(derivative(v.component(i), ax), fine) for i in range(2) for ax in ("x", "y")]
+    us = to_physical_padded(u, fine)
+    vs = to_physical_padded(v, fine)
     # A = grad + grad^T entries: A11 = 2 d1u1, A12 = d2u1 + d1u2, A22 = 2 d2u2
     a11, a12, a22 = 2.0 * du[0], du[1] + du[2], 2.0 * du[3]
     b11, b12, b22 = 2.0 * dv[0], dv[1] + dv[2], 2.0 * dv[3]
@@ -369,7 +408,7 @@ def hermitianize(f: SpectralField) -> SpectralField:
     """Project onto Hermitian-symmetric (real-field) coefficients."""
     c = f.coeffs
     flipped = np.roll(c[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))
-    return SpectralField(f.grid, 0.5 * (c + np.conj(flipped)))
+    return SpectralField._adopt(f.grid, 0.5 * (c + np.conj(flipped)))
 
 
 # -- constructors for tests and initial data ------------------------------------

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from alpha_fluids import runner
+from alpha_fluids import dynamics, runner
 from alpha_fluids.checkpoint import read_checkpoint, write_checkpoint
 from alpha_fluids.cli import main
 from alpha_fluids.config import parse_config
@@ -131,6 +131,27 @@ class TestNumericalAbort:
         manifest = read_manifest(out)
         assert manifest["status"] == "INCOMPLETE"
         assert "finiteness" in manifest["abort_reason"]
+
+
+    def test_cfl_reaching_one_on_step_3_aborts_there(self, tmp_path, monkeypatch):
+        """The guard runs every step; a CFL number the run grows into is a numerical abort."""
+        numbers = iter([0.2, 0.4, 1.5, 0.1])
+        checked = []
+
+        def cfl(state, dt):
+            checked.append(state.t)
+            return next(numbers)
+
+        monkeypatch.setattr(dynamics, "_cfl_number", cfl)
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(SMALL_2D)
+        out = tmp_path / "cfl"
+        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert checked == pytest.approx([0.0, 2e-3, 4e-3])
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert manifest["abort_reason"].startswith("CFL number 1.50")
+        assert float(manifest["t_last_good"]) == pytest.approx(4e-3)
 
 
 class TestBadInput:

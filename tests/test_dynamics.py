@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from alpha_fluids import dynamics
 from alpha_fluids.dynamics import (
     BlowUpError,
     DissipationMode,
@@ -29,8 +30,11 @@ from alpha_fluids.spectral import (
     make_grid,
     mode,
     to_physical,
+    to_spectral,
     zero_field,
 )
+
+from test_spectral import complex_to_physical, complex_to_spectral
 
 
 def shear_state(grid, a):
@@ -47,6 +51,19 @@ def two_mode_state(grid, a, amps=(0.25, 0.2)):
     return VorticityState(q0, alpha)
 
 
+def random_state(grid, a, seed=0, amplitude=0.05, mean_velocity=(0.3, -0.1)):
+    """Dealiased white-noise stream function: every retained mode is live."""
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    u0 = derivative(dealias_two_thirds(to_spectral(grid, amplitude * noise)), "perp_gradient")
+    alpha = AlphaParam(a)
+    q0 = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
+    return VorticityState(q0, alpha, mean_velocity=mean_velocity)
+
+
+NON_SQUARE = (24, 40, 3.0, 7.5)
+MODES = [DissipationMode.inviscid(), DissipationMode.viscous(0.05), DissipationMode.strong(0.05)]
+
+
 class TestVelocityFromQ:
     def test_shear_hand_value(self):
         g = make_grid(32, 32)
@@ -55,6 +72,12 @@ class TestVelocityFromQ:
         up = to_physical(st.velocity())
         assert np.abs(up[0] - np.sin(Y)).max() < 1e-13
         assert np.abs(up[1]).max() < 1e-13
+
+    def test_result_read_only_and_unaliased(self):
+        st = two_mode_state(make_grid(16, 16), 0.3)
+        u = velocity_from_q(st.q, st.alpha, (0.5, 0.25))
+        assert not u.coeffs.flags.writeable and not np.shares_memory(u.coeffs, st.q.coeffs)
+        assert mode(u, 0, 0).tolist() == [0.5, 0.25]
 
     def test_zero_q_gives_mean_flow(self):
         g = make_grid(16, 16)
@@ -140,6 +163,57 @@ class TestStepRk4:
         g = make_grid(32, 32)
         st = step_rk4(two_mode_state(g, 0.3), 1e-3, DissipationMode.inviscid())
         assert hermitian_asymmetry(st.q) < 1e-14
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.variant)
+    def test_exactly_hermitian_after_50_steps(self, mode):
+        st = random_state(make_grid(*NON_SQUARE), 0.3)
+        for _ in range(50):
+            st = step_rk4(st, 1e-3, mode)
+        assert hermitian_asymmetry(st.q) == 0.0
+        assert hermitian_asymmetry(st.velocity()) == 0.0
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.variant)
+    def test_matches_complex_transforms_with_hermitianize(self, mode, monkeypatch):
+        """Oracle: the complex transform pair, and hermitianize on every stage."""
+        g = make_grid(*NON_SQUARE)
+        new = random_state(g, 0.3)
+        for _ in range(20):
+            new = step_rk4(new, 1e-3, mode)
+        monkeypatch.setattr(dynamics, "to_spectral", lambda grid, s: SpectralField(grid, complex_to_spectral(grid, s)))
+        monkeypatch.setattr(dynamics, "to_physical", lambda f: complex_to_physical(f.grid, f.coeffs))
+        monkeypatch.setattr(
+            VorticityState, "with_q", lambda self, q, t: VorticityState(q, self.alpha, t, self.mean_velocity)
+        )
+        old = random_state(g, 0.3)
+        for _ in range(20):
+            old = step_rk4(old, 1e-3, mode)
+        scale = np.abs(old.q.coeffs).max()
+        assert np.abs(new.q.coeffs - old.q.coeffs).max() <= 1e-12 * scale
+
+    def test_cfl_check_costs_no_transform(self, monkeypatch):
+        inverse = dynamics.to_physical
+        calls = []
+        monkeypatch.setattr(dynamics, "to_physical", lambda f: calls.append(1) or inverse(f))
+        counts = []
+        for check in (True, False):
+            calls.clear()
+            step_rk4(two_mode_state(make_grid(32, 32), 0.3), 1e-3, DissipationMode.inviscid(), check_cfl=check)
+            counts.append(len(calls))
+        assert counts == [8, 8]
+
+    def test_cfl_reaching_one_mid_run_aborts_there(self, monkeypatch):
+        numbers = iter([0.2, 0.4, 1.5, 0.1])
+        checked = []
+
+        def cfl(state, dt):
+            checked.append(state.t)
+            return next(numbers)
+
+        monkeypatch.setattr(dynamics, "_cfl_number", cfl)
+        with pytest.raises(BlowUpError, match="CFL number 1.50") as info:
+            run(two_mode_state(make_grid(16, 16), 0.3), 1e-3, 5e-3, DissipationMode.inviscid())
+        assert checked == pytest.approx([0.0, 1e-3, 2e-3])
+        assert info.value.t_last_good == pytest.approx(2e-3)
 
     def test_blow_up_guard(self):
         g = make_grid(16, 16)
@@ -232,6 +306,13 @@ class TestThirdGrade:
             u = step_third_grade_rk4(u, 2e-3, p)
             energies.append(0.5 * inner_product_alpha(u, u, a))
         assert all(b <= a_ + 1e-14 for a_, b in zip(energies, energies[1:]))
+
+    def test_exactly_hermitian_after_20_steps(self):
+        u = random_state(make_grid(*NON_SQUARE), 0.3).velocity()
+        p = ThirdGradeParams(alpha1=0.09, alpha2=0.05, beta=0.1, nu=0.02)
+        for _ in range(20):
+            u = step_third_grade_rk4(u, 1e-3, p)
+        assert hermitian_asymmetry(u) == 0.0
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

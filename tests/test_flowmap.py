@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from alpha_fluids import dynamics
 from alpha_fluids.dynamics import DissipationMode, VorticityState, run
 from alpha_fluids.flowmap import (
     _EVAL_TRUNCATION,
@@ -324,6 +325,15 @@ class TestExponentialMaps:
         m1 = exponential_map(u, 0.4, "riemannian", 1e-3, alpha=a, m=8)
         m2 = exponential_map(2.0 * u, 0.2, "riemannian", 5e-4, alpha=a, m=8)
         assert flow_map_distance(m1, m2) < 1e-9
+
+
+def test_co_advect_checks_cfl_every_step(monkeypatch):
+    cfl = dynamics._cfl_number
+    checked = []
+    monkeypatch.setattr(dynamics, "_cfl_number", lambda state, dt: checked.append(state.t) or cfl(state, dt))
+    g = make_grid(16, 16)
+    co_advect(two_mode_setup(g), DissipationMode.inviscid(), 1e-3, 3e-3, make_lattice(g, 8))
+    assert checked == pytest.approx([0.0, 1e-3, 2e-3])
 
 
 class TestSnapshotVelocity:

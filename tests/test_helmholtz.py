@@ -26,6 +26,22 @@ from alpha_fluids.spectral import (
 from test_spectral import random_real, random_stream
 
 
+def test_results_read_only_and_unaliased():
+    g = make_grid(16, 16)
+    f = random_real(g, seed=2)
+    u = random_real(g, seed=3, rank="vector")
+    a = AlphaParam(0.4)
+    for out, x in [
+        (helmholtz_apply(f, a), f),
+        (helmholtz_apply(f, AlphaParam(0.0)), f),
+        (helmholtz_inverse(u, a), u),
+        (leray_project(u), u),
+        (stokes_project(u, a), u),
+    ]:
+        assert not out.coeffs.flags.writeable
+        assert not np.shares_memory(out.coeffs, x.coeffs)
+
+
 class TestHelmholtzInverse:
     def test_single_mode_eigenvalue(self):
         g = make_grid(32, 32)

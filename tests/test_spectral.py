@@ -1,5 +1,7 @@
 """Spectral infrastructure: transforms, derivatives, dealiasing, inner products."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from alpha_fluids.spectral import (
     make_grid,
     mode,
     to_physical,
+    to_physical_padded,
     to_spectral,
-    transform,
     zero_field,
 )
 
@@ -26,6 +28,33 @@ def random_real(grid, seed=0, rank="scalar"):
     rng = np.random.default_rng(seed)
     shape = (grid.nx, grid.ny) if rank == "scalar" else (2, grid.nx, grid.ny)
     return to_spectral(grid, rng.standard_normal(shape))
+
+
+# -- the complex transforms that preceded the real-to-complex ones: test oracles --
+
+
+def complex_to_spectral(grid, samples):
+    return np.fft.fft2(samples, axes=(-2, -1)) / (grid.nx * grid.ny)
+
+
+def complex_to_physical(grid, coeffs):
+    return np.fft.ifft2(coeffs * (grid.nx * grid.ny), axes=(-2, -1)).real
+
+
+def complex_padded_samples(grid, coeffs, shape):
+    """Zero-pad the full spectrum (mode -n/2 at index -n/2) and keep Re(ifft2)."""
+    big = np.zeros(coeffs.shape[:-2] + tuple(shape), dtype=np.complex128)
+    ix = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx).astype(int)
+    iy = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny).astype(int)
+    big[..., ix[:, None], iy[None, :]] = coeffs
+    return np.fft.ifft2(big * (shape[0] * shape[1]), axes=(-2, -1)).real
+
+
+def rel_err(out, ref):
+    return np.abs(out - ref).max() / np.abs(ref).max()
+
+
+ORACLE_GRIDS = [(64, 64, 2 * math.pi, 2 * math.pi), (24, 40, 3.0, 7.5)]
 
 
 def random_stream(grid, seed=0, kmax=5, nmodes=6):
@@ -97,13 +126,65 @@ class TestTransform:
         with pytest.raises(ValueError):
             to_spectral(g, np.zeros((8, 8)))
 
-    def test_transform_dispatcher(self):
-        g = make_grid(16, 16)
-        s = np.cos(g.nodes()[0])
-        f = transform(s, "forward", grid=g)
-        assert np.abs(transform(f, "inverse") - s).max() < 1e-13
-        with pytest.raises(ValueError):
-            transform(s, "sideways", grid=g)
+
+@pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+@pytest.mark.parametrize("rank", ["scalar", "vector"])
+class TestRealTransformOracle:
+    """White-noise samples: every mode live, Nyquist row and column included."""
+
+    def samples(self, g, rank):
+        shape = g.shape if rank == "scalar" else (2,) + g.shape
+        return np.random.default_rng(g.nx + g.ny).standard_normal(shape)
+
+    def test_forward_matches_complex_transform(self, nx, ny, Lx, Ly, rank):
+        g = make_grid(nx, ny, Lx, Ly)
+        s = self.samples(g, rank)
+        assert rel_err(to_spectral(g, s).coeffs, complex_to_spectral(g, s)) <= 1e-14
+
+    def test_forward_output_exactly_hermitian(self, nx, ny, Lx, Ly, rank):
+        g = make_grid(nx, ny, Lx, Ly)
+        assert hermitian_asymmetry(to_spectral(g, self.samples(g, rank))) == 0.0
+
+    def test_inverse_matches_complex_transform(self, nx, ny, Lx, Ly, rank):
+        g = make_grid(nx, ny, Lx, Ly)
+        f = to_spectral(g, self.samples(g, rank))
+        assert rel_err(to_physical(f), complex_to_physical(g, f.coeffs)) <= 1e-14
+
+
+PADDED_SHAPES = {
+    "doubled": lambda g: (2 * g.nx, 2 * g.ny),
+    "x padded": lambda g: (g.nx + 4, g.ny),
+    "y padded": lambda g: (g.nx, g.ny + 6),
+    "unpadded": lambda g: g.shape,
+}
+
+
+@pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+@pytest.mark.parametrize("rank", ["scalar", "vector"])
+@pytest.mark.parametrize("pad", PADDED_SHAPES)
+def test_padded_inverse_matches_complex_pad(nx, ny, Lx, Ly, rank, pad):
+    """White-noise fields, so the Nyquist row and column are live."""
+    g = make_grid(nx, ny, Lx, Ly)
+    shape = PADDED_SHAPES[pad](g)
+    f = random_real(g, seed=nx, rank=rank)
+    assert np.abs(f.coeffs[..., nx // 2, :]).min() > 0.0 and np.abs(f.coeffs[..., ny // 2]).min() > 0.0
+    ref = complex_padded_samples(g, f.coeffs, shape)
+    assert rel_err(to_physical_padded(f, shape), ref) <= 1e-14
+
+
+def test_padded_inverse_of_general_coefficients():
+    """Non-Hermitian input: still the real part of the padded inverse."""
+    g = make_grid(24, 40, 3.0, 7.5)
+    rng = np.random.default_rng(3)
+    f = SpectralField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    for shape in [(48, 80), (24, 46), (30, 40)]:
+        assert rel_err(to_physical_padded(f, shape), complex_padded_samples(g, f.coeffs, shape)) <= 1e-14
+
+
+def test_padded_inverse_rejects_smaller_grid():
+    g = make_grid(16, 16)
+    with pytest.raises(ValueError):
+        to_physical_padded(zero_field(g), (16, 8))
 
 
 class TestDerivative:
@@ -265,6 +346,37 @@ class TestFieldValueSemantics:
         f = zero_field(make_grid(16, 16))
         with pytest.raises(ValueError):
             f.coeffs[0, 0] = 1.0
+
+    def test_internal_results_read_only_and_unaliased(self):
+        g = make_grid(16, 16)
+        f = random_real(g, seed=8)
+        u = random_real(g, seed=9, rank="vector")
+        samples = to_physical(f)
+        results = [
+            (to_spectral(g, samples), []),
+            (f + f, [f]),
+            (f - f, [f]),
+            (2.0 * f, [f]),
+            (-f, [f]),
+            (derivative(f, "x"), [f]),
+            (derivative(f, "gradient"), [f]),
+            (derivative(f, "perp_gradient"), [f]),
+            (derivative(u, "curl"), [u]),
+            (derivative(u, "laplacian"), [u]),
+            (dealias_two_thirds(u), [u]),
+        ]
+        for out, inputs in results:
+            assert not out.coeffs.flags.writeable
+            assert not np.shares_memory(out.coeffs, samples)
+            for x in inputs:
+                assert not np.shares_memory(out.coeffs, x.coeffs)
+
+    def test_public_constructor_copies_writeable_array(self):
+        g = make_grid(16, 16)
+        a = np.zeros(g.shape, dtype=np.complex128)
+        f = SpectralField(g, a)
+        a[1, 1] = 1.0
+        assert f.coeffs[1, 1] == 0.0 and a.flags.writeable
 
     def test_arithmetic_checks_grid(self):
         a = zero_field(make_grid(16, 16))
