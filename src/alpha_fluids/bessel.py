@@ -1,85 +1,3 @@
-"""Modified Bessel functions K0 and K1 of a real positive argument.
+"""Modified Bessel functions K0 and K1 of the blob kernel (scipy.special)."""
 
-Self-contained series/asymptotic evaluation in the Abramowitz-Stegun style:
-the ascending series (9.6.10-9.6.13 companions of 9.6.52/9.6.53) below the
-crossover and the large-argument asymptotic expansion above it.  Absolute
-error is below 1e-10 across [1e-6, 600]; arguments past the exp(-x) underflow
-point return 0.
-"""
-
-from __future__ import annotations
-
-import numpy as np
-
-_EULER_GAMMA = 0.5772156649015328606
-_CROSSOVER = 8.0
-_SERIES_TERMS = 40
-_ASYMPTOTIC_TERMS = 14
-_UNDERFLOW_X = 705.0
-
-
-def _k0_k1_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending series, accurate for 0 < x <= 8."""
-    q = 0.25 * x * x
-    log_half_x = np.log(0.5 * x)
-    i0 = np.ones_like(x)
-    i1_over_halfx = np.ones_like(x)          # I1(x) / (x/2)
-    k0_sum = np.zeros_like(x)                # sum h_m q^m / (m!)^2, h_m harmonic
-    k1_sum = np.ones_like(x)                 # sum (h_m + h_{m+1}) q^m / (m! (m+1)!) * scaled
-    term_i0 = np.ones_like(x)
-    term_i1 = np.ones_like(x)
-    harmonic = 0.0
-    k1_acc = np.zeros_like(x)
-    for m in range(1, _SERIES_TERMS):
-        term_i0 = term_i0 * q / (m * m)
-        term_i1 = term_i1 * q / (m * (m + 1))
-        harmonic += 1.0 / m
-        i0 += term_i0
-        i1_over_halfx += term_i1
-        k0_sum += term_i0 * harmonic
-        k1_acc += term_i1 * (2.0 * harmonic + 1.0 / (m + 1))
-    i1 = 0.5 * x * i1_over_halfx
-    k0 = -(log_half_x + _EULER_GAMMA) * i0 + k0_sum
-    # K1 = log(x/2) I1 + 1/x - (x/4) * sum_{m>=0} [h_m + h_{m+1}] q^m / (m!(m+1)!)
-    # the m = 0 term of the bracket is h_0 + h_1 = 1
-    k1 = (log_half_x + _EULER_GAMMA) * i1 + 1.0 / x - 0.25 * x * (1.0 + k1_acc)
-    return k0, k1
-
-
-def _k_asymptotic(x: np.ndarray, nu: int) -> np.ndarray:
-    """K_nu(x) ~ sqrt(pi/2x) e^{-x} sum_k prod_j (4 nu^2 - (2j-1)^2) / (k! (8x)^k)."""
-    mu = 4.0 * nu * nu
-    acc = np.ones_like(x)
-    term = np.ones_like(x)
-    for j in range(1, _ASYMPTOTIC_TERMS):
-        term = term * (mu - (2 * j - 1) ** 2) / (j * 8.0 * x)
-        acc += term
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * acc
-
-
-def _eval(x, which: int):
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if (xs < 0).any():
-        raise ValueError("K_nu requires nonnegative arguments")
-    out = np.zeros_like(xs)
-    out[xs == 0.0] = np.inf
-    small = (xs > 0.0) & (xs <= _CROSSOVER)
-    large = (xs > _CROSSOVER) & (xs < _UNDERFLOW_X)
-    if small.any():
-        k0, k1 = _k0_k1_series(xs[small])
-        out[small] = k0 if which == 0 else k1
-    if large.any():
-        out[large] = _k_asymptotic(xs[large], which)
-    return float(out[0]) if scalar else out
-
-
-def k0(x):
-    """Modified Bessel function K0; accepts scalars or arrays."""
-    return _eval(x, 0)
-
-
-def k1(x):
-    """Modified Bessel function K1; accepts scalars or arrays."""
-    return _eval(x, 1)
+from scipy.special import k0, k1  # noqa: F401

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .helmholtz import DirichletGrid1D, helmholtz_solve_dirichlet_1d
 from .spectral import AlphaParam
@@ -201,6 +200,8 @@ def lagrangian_from_velocity(state: CHState) -> CHLagrangianState:
 def eulerian_from_lagrangian(ls: CHLagrangianState, n: int) -> CHState:
     """u = etadot o eta^{-1} sampled on the uniform interior grid by monotone
     cubic interpolation of the graph (eta_i, etadot_i)."""
+    from scipy.interpolate import PchipInterpolator  # see _spray_acceleration
+
     grid = DirichletGrid1D(n)
     u = PchipInterpolator(ls.eta, ls.etadot)(grid.x)
     return CHState(u, "dirichlet", ls.t)
@@ -213,6 +214,10 @@ def _spray_acceleration(eta: np.ndarray, etadot: np.ndarray, n_work: int) -> np.
     graph, the bracket is solved there, and the result is carried back to the
     particles by the same interpolation.
     """
+    # imported here, not at module level: only the spray form needs it, and
+    # scipy.interpolate adds about 19 MB to every process importing the package
+    from scipy.interpolate import PchipInterpolator
+
     grid = DirichletGrid1D(n_work)
     h = grid.h
     u_interp = PchipInterpolator(eta, etadot)

@@ -141,6 +141,18 @@ class VorticityState:
         return self._cache["u_samples"]
 
 
+def state_from_velocity(u: SpectralField, alpha: AlphaParam) -> VorticityState:
+    """The state at t = 0 whose velocity is u: q = (1 - alpha^2 Lap) curl u,
+    truncated by the 2/3 rule, and u's k = 0 coefficients as mean velocity.
+
+    For a divergence-free u inside the 2/3 band this inverts
+    VorticityState.velocity to roundoff; outside the band q is truncated.
+    """
+    q = dealias_two_thirds(helmholtz_apply(derivative(u, "curl"), alpha))
+    # + 0.0 turns a -0.0 mean into +0.0, so checkpoint headers carry no sign bit
+    return VorticityState(q, alpha, 0.0, u.coeffs[:, 0, 0].real + 0.0)
+
+
 def velocity_from_q(q: SpectralField, alpha: AlphaParam, mean_velocity=(0.0, 0.0)) -> SpectralField:
     """Invert q -> u: omega = (1-a^2 Lap)^{-1} q, Lap psi = omega, u = perp_grad psi."""
     g = q.grid

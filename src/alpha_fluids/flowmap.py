@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DissipationMode, VorticityState, step_rk4
-from .helmholtz import helmholtz_apply
-from .spectral import TWO_PI, AlphaParam, SpectralField, TorusGrid2D, derivative
+from .dynamics import DissipationMode, VorticityState, state_from_velocity, step_rk4
+from .spectral import TWO_PI, AlphaParam, SpectralField, TorusGrid2D
 
 _EVAL_TRUNCATION = 1e-16  # relative: modes below this cannot move max error past 1e-13
 
@@ -278,8 +277,10 @@ def exponential_map(
     right-invariant flow ('group') with initial velocity u0.
 
     The riemannian kind advects particles through the evolving inviscid
-    solution (requires alpha); the group kind through the time-frozen u0.
-    T = 0 returns the identity lattice for both.
+    solution (requires alpha) from state_from_velocity(u0, alpha), whose q is
+    2/3-dealiased: for u0 inside the 2/3 band that changes nothing.  The group
+    kind advects through the time-frozen u0.  T = 0 returns the identity
+    lattice for both.
     """
     g = u0.grid
     fmap = make_lattice(g, m)
@@ -291,10 +292,7 @@ def exponential_map(
         raise ValueError(f"unknown exponential-map kind {kind!r}")
     if alpha is None:
         raise ValueError("riemannian exponential map needs the metric's alpha")
-    q0 = helmholtz_apply(derivative(u0, "curl"), alpha)
-    mean = np.array([u0.coeffs[0, 0, 0].real, u0.coeffs[1, 0, 0].real])
-    state = VorticityState(q0, alpha, 0.0, mean)
-    _, out = co_advect(state, DissipationMode.inviscid(), dt, T, fmap)
+    _, out = co_advect(state_from_velocity(u0, alpha), DissipationMode.inviscid(), dt, T, fmap)
     return out
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import velocity_from_q
-from .helmholtz import helmholtz_apply, helmholtz_inverse, leray_project
+from .dynamics import state_from_velocity, velocity_from_q
+from .helmholtz import helmholtz_inverse, leray_project
 from .spectral import (
     AlphaParam,
     SpectralField,
@@ -45,22 +45,9 @@ class DegeneratePlaneError(ValueError):
     """The two directions span a numerically degenerate 2-plane."""
 
 
-@dataclass(frozen=True)
-class TrigVectorField:
-    """A divergence-free band-limited velocity field with a human-readable label."""
-
-    field: SpectralField
-    label: str = ""
-
-
 def stream_mode(grid: TorusGrid2D, k: tuple[int, int], amplitude: float = 1.0) -> SpectralField:
     """Velocity field of the stream function amplitude * cos(k . x)."""
     return _clean(derivative(cosine_field(grid, k, amplitude), "perp_gradient"))
-
-
-def _unwrap(x) -> SpectralField:
-    f = x.field if isinstance(x, TrigVectorField) else x
-    return _clean(f)
 
 
 # -- exact (alias-free) products --------------------------------------------------
@@ -122,54 +109,36 @@ def _exact_product(a: SpectralField, b: SpectralField) -> np.ndarray:
     return prod[np.ix_(ix, iy)]
 
 
-def _dealiased_product(a: SpectralField, b: SpectralField) -> np.ndarray:
-    """Solver-style product: collocation multiply plus 2/3 truncation.
-
-    Used where fields already fill the dealiased band (co-integrated states),
-    so the exact support gate would reject them.
-    """
-    prod = to_spectral(a.grid, to_physical(a) * to_physical(b))
-    return dealias_two_thirds(prod).coeffs
-
-
-def _product(a: SpectralField, b: SpectralField, products: str) -> np.ndarray:
-    if products == "exact":
-        return _exact_product(a, b)
-    if products == "dealias":
-        return _dealiased_product(a, b)
-    raise ValueError(f"unknown product mode {products!r}")
-
-
-def advect(x: SpectralField, y: SpectralField, products: str = "exact") -> SpectralField:
+def advect(x: SpectralField, y: SpectralField) -> SpectralField:
     """Directional derivative (x . grad) y, exact for band-limited inputs."""
-    x, y = _unwrap(x), _unwrap(y)
+    x, y = _clean(x), _clean(y)
     g = x.grid
     out = np.empty((2, g.nx, g.ny), dtype=np.complex128)
     for i in range(2):
         yi = y.component(i)
         out[i] = (
-            _product(x.component(0), derivative(yi, "x"), products)
-            + _product(x.component(1), derivative(yi, "y"), products)
+            _exact_product(x.component(0), derivative(yi, "x"))
+            + _exact_product(x.component(1), derivative(yi, "y"))
         )
     return SpectralField(g, out)
 
 
-def lie_bracket(x: SpectralField, y: SpectralField, products: str = "exact") -> SpectralField:
+def lie_bracket(x: SpectralField, y: SpectralField) -> SpectralField:
     """[x, y] = (x . grad) y - (y . grad) x; divergence-free for solenoidal x, y."""
-    return advect(x, y, products) - advect(y, x, products)
+    return advect(x, y) - advect(y, x)
 
 
 # -- the metric's quadratic operator and its polarization --------------------------
 
 
-def calU(u: SpectralField, alpha: AlphaParam, products: str = "exact") -> SpectralField:
+def calU(u: SpectralField, alpha: AlphaParam) -> SpectralField:
     """alpha^2 (1 - alpha^2 L)^{-1} { div[Du Du^t + Du Du - Du^t Du] + grad Tr(Du Du) }.
 
     Du is the velocity gradient (Du)_{ij} = d_j u^i; the matrix divergence
     contracts the second index, (div T)^i = d_j T_{ij}.  The smoothing inverse
     acts mode-wise as (1 + alpha^2 |k|^2)^{-1}.  Quadratic: calU(c u) = c^2 calU(u).
     """
-    u = _unwrap(u)
+    u = _clean(u)
     g = u.grid
     if alpha.alpha == 0.0:
         return zero_field(g, "vector")
@@ -180,9 +149,9 @@ def calU(u: SpectralField, alpha: AlphaParam, products: str = "exact") -> Spectr
         for j in range(2):
             acc = np.zeros((g.nx, g.ny), dtype=np.complex128)
             for m in range(2):
-                acc += _product(d[i][m], d[j][m], products)      # Du Du^t
-                acc += _product(d[i][m], d[m][j], products)      # Du Du
-                acc -= _product(d[m][i], d[m][j], products)      # Du^t Du
+                acc += _exact_product(d[i][m], d[j][m])      # Du Du^t
+                acc += _exact_product(d[i][m], d[m][j])      # Du Du
+                acc -= _exact_product(d[m][i], d[m][j])      # Du^t Du
             T[i, j] = acc
     kx, ky = g.kx, g.ky
     divT0 = 1j * kx * T[0, 0] + 1j * ky * T[0, 1]
@@ -191,22 +160,20 @@ def calU(u: SpectralField, alpha: AlphaParam, products: str = "exact") -> Spectr
     tr = np.zeros((g.nx, g.ny), dtype=np.complex128)
     for i in range(2):
         for m in range(2):
-            tr += _product(d[i][m], d[m][i], products)
+            tr += _exact_product(d[i][m], d[m][i])
     vec = SpectralField(g, np.stack([divT0 + 1j * kx * tr, divT1 + 1j * ky * tr]))
     return alpha.alpha_sq * helmholtz_inverse(vec, alpha)
 
 
-def frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam, products: str = "exact") -> SpectralField:
+def frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
     """Symmetric bilinear polarization, frakU(x,y) = (calU(x+y) - calU(x-y)) / 4."""
-    x, y = _unwrap(x), _unwrap(y)
+    x, y = _clean(x), _clean(y)
     if alpha.alpha == 0.0:
         return zero_field(x.grid, "vector")
-    return 0.25 * (calU(x + y, alpha, products) - calU(x - y, alpha, products))
+    return 0.25 * (calU(x + y, alpha) - calU(x - y, alpha))
 
 
-def covariant_derivative(
-    x: SpectralField, y: SpectralField, alpha: AlphaParam, products: str = "exact"
-) -> SpectralField:
+def covariant_derivative(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
     """Levi-Civita covariant derivative of the alpha metric at the identity,
 
         nabla~_x y = P_e[ (x . grad) y + frakU(x, y) ].
@@ -217,10 +184,10 @@ def covariant_derivative(
     exactly.  At alpha = 0 this is the classical L^2 (Euler) connection
     P_e (x . grad) y.
     """
-    x, y = _unwrap(x), _unwrap(y)
-    inner = advect(x, y, products)
+    x, y = _clean(x), _clean(y)
+    inner = advect(x, y)
     if alpha.alpha != 0.0:
-        inner = inner + frakU(x, y, alpha, products)
+        inner = inner + frakU(x, y, alpha)
     return leray_project(inner)
 
 
@@ -231,7 +198,7 @@ def M_op(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField
     turns the flat connection into the metric one, nabla~_x y =
     P_e (x.grad) y + P_e frakU(x,y).
     """
-    x, y = _unwrap(x), _unwrap(y)
+    x, y = _clean(x), _clean(y)
     a = advect(x, y)
     out = a - leray_project(a)
     if alpha.alpha != 0.0:
@@ -254,14 +221,14 @@ def curvature_op(
     closed-form two-stream-mode curvature at alpha = 0, which is what pins the
     two sign conventions.  Trilinear and antisymmetric in (x, y).
     """
-    x, y, z = _unwrap(x), _unwrap(y), _unwrap(z)
+    x, y, z = _clean(x), _clean(y), _clean(z)
     cd = covariant_derivative
     return cd(x, cd(y, z, alpha), alpha) - cd(y, cd(x, z, alpha), alpha) - cd(lie_bracket(x, y), z, alpha)
 
 
 def sectional_curvature(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> float:
     """K(x, y) = <R~(x,y)y, x>_alpha / (|x|^2 |y|^2 - <x,y>^2); scale-invariant."""
-    x, y = _unwrap(x), _unwrap(y)
+    x, y = _clean(x), _clean(y)
     xx = inner_product_alpha(x, x, alpha)
     yy = inner_product_alpha(y, y, alpha)
     xy = inner_product_alpha(x, y, alpha)
@@ -351,21 +318,11 @@ def find_alpha0(
 # -- Jacobi fields via the linearized flow ------------------------------------------
 
 
-@dataclass(frozen=True)
-class JacobiField:
-    """Eulerian representative Y of a Jacobi field and its covariant velocity."""
-
-    Y: SpectralField
-    Ydot: SpectralField
-    t: float
-
-
 @dataclass
 class JacobiTrajectory:
     times: np.ndarray
     y_norms: np.ndarray        # ||Y(t)||_alpha
     du_norms: np.ndarray       # ||delta u(t)||_alpha
-    samples: list[JacobiField]
     delta_u_final: SpectralField
     y_final: SpectralField
     u_final: SpectralField
@@ -404,7 +361,6 @@ def jacobi_evolve(
     T: float,
     dt: float,
     alpha: AlphaParam,
-    store_every: int = 0,
 ) -> JacobiTrajectory:
     """Integrate the Jacobi equation along the geodesic with initial velocity u0.
 
@@ -416,36 +372,24 @@ def jacobi_evolve(
 
         delta u(0) = ydot0 - (y0 . grad) u0 + (u0 . grad) y0 - nabla~_{u0} y0.
 
+    q(0) and delta q(0) are the q of state_from_velocity(u0, alpha) and of
+    state_from_velocity(delta u(0), alpha): 2/3-dealiased, like every solver
+    state.
+
     A pure initial-velocity perturbation is y0 = 0, ydot0 = perturbation, in
     which case delta u(t) is directly comparable with finite-difference
     geodesic deviation, (solution(u0 + eps*ydot0) - solution(u0)) / eps.
     """
-    g = u0.grid
-    q = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
-    mean_u = np.array([u0.coeffs[0, 0, 0].real, u0.coeffs[1, 0, 0].real])
+    state = state_from_velocity(u0, alpha)
+    q, mean_u = state.q, state.mean_velocity
     w = dealias_two_thirds(y0)
     du0 = ydot0 - advect(y0, u0) + advect(u0, y0) - covariant_derivative(u0, y0, alpha)
-    dq = dealias_two_thirds(helmholtz_apply(derivative(du0, "curl"), alpha))
+    dq = state_from_velocity(du0, alpha).q
 
     n_steps = max(1, round(T / dt))
     times = [0.0]
     y_norms = [norm_alpha(w, alpha)]
     du_norms = [norm_alpha(velocity_from_q(dq, alpha), alpha)]
-    samples: list[JacobiField] = []
-
-    def record_sample(t, q_, dq_, w_):
-        u = velocity_from_q(q_, alpha, mean_u)
-        du = velocity_from_q(dq_, alpha)
-        ydot = SpectralField(
-            g,
-            (
-                du
-                + lie_bracket(w_, u, products="dealias")
-                + covariant_derivative(u, w_, alpha, products="dealias")
-            ).coeffs,
-        )
-        samples.append(JacobiField(Y=w_, Ydot=ydot, t=t))
-
     for step in range(n_steps):
         t = step * dt
         k1 = _tangent_rhs(q, dq, w, alpha, mean_u)
@@ -463,16 +407,11 @@ def jacobi_evolve(
         times.append((step + 1) * dt)
         y_norms.append(norm_alpha(w, alpha))
         du_norms.append(norm_alpha(velocity_from_q(dq, alpha), alpha))
-        if store_every and (step + 1) % store_every == 0:
-            record_sample((step + 1) * dt, q, dq, w)
 
-    if not samples or samples[-1].t != times[-1]:
-        record_sample(times[-1], q, dq, w)
     return JacobiTrajectory(
         times=np.asarray(times),
         y_norms=np.asarray(y_norms),
         du_norms=np.asarray(du_norms),
-        samples=samples,
         delta_u_final=velocity_from_q(dq, alpha),
         y_final=w,
         u_final=velocity_from_q(q, alpha, mean_u),

@@ -11,7 +11,8 @@ mode; the manifest additionally records wall time, which is exempt.
 Exit status contract: 0 success; 1 bad input (a ValueError such as a CFL
 violation by the initial state), with one ``error:`` line on stderr; 2
 numerical abort (blow-up, a CFL number the run grows into, non-finite
-particles).  Failures leave an INCOMPLETE manifest with a reason.
+particles, a geometry product outgrowing its grid).  Failures leave an
+INCOMPLETE manifest with a reason.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ from .dynamics import (
     casimirs,
     energy_alpha,
     run,
+    state_from_velocity,
     step_rk4,
 )
 from .flowmap import co_advect, make_lattice, transport_check, volume_check
 from .geometry import (
+    SupportOverflowError,
     arnold_closed_form,
     find_alpha0,
     grid_for_modes,
@@ -49,14 +52,12 @@ from .geometry import (
     sectional_curvature,
     stream_mode,
 )
-from .helmholtz import helmholtz_apply
 from .rng import SplitMix64, random_modes
 from .spectral import (
     AlphaParam,
     SpectralField,
     TorusGrid2D,
     cosine_field,
-    dealias_two_thirds,
     derivative,
     field_from_modes,
     make_grid,
@@ -148,9 +149,7 @@ def initial_velocity(cfg: RunConfig, grid: TorusGrid2D, seed: int) -> SpectralFi
 
 
 def initial_state(cfg: RunConfig, grid: TorusGrid2D, alpha: AlphaParam, seed: int) -> VorticityState:
-    u0 = initial_velocity(cfg, grid, seed)
-    q0 = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
-    return VorticityState(q0, alpha)
+    return state_from_velocity(initial_velocity(cfg, grid, seed), alpha)
 
 
 def _dissipation(cfg: RunConfig) -> DissipationMode:
@@ -357,17 +356,12 @@ def _exp_curvature(cfg: RunConfig, outdir: str, seed: int) -> dict:
 
 
 def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int = 1) -> dict:
-    grid_n = cfg.get("grid", "nx", 128)
-    alpha = cfg.get("physics", "alpha", 0.2)
     nus = cfg.get("experiment", "nus", (1e-1, 1e-2, 1e-3, 1e-4))
     variants = cfg.get("experiment", "variants", "both")
-    dt = cfg.get("time", "dt", 2e-3)
-    T = cfg.get("time", "t_final", 0.5)
-    ic = _ic_tuple(cfg)
     variant_list = ("viscous", "strong") if variants == "both" else (variants,)
 
     tasks = [("inviscid", 0.0)] + [(v, nu) for v in variant_list for nu in nus]
-    args = [(grid_n, alpha, v, nu, dt, T, ic) for (v, nu) in tasks]
+    args = [(cfg, seed, v, nu) for (v, nu) in tasks]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_viscosity_run, args))
@@ -376,7 +370,7 @@ def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int = 1) ->
     by_key = {(v, nu): coeffs for (v, nu), coeffs in zip(tasks, results)}
     u0_ref = by_key[("inviscid", 0.0)]
 
-    grid = make_grid(grid_n, grid_n)
+    grid = _grid_from(cfg)
     rows = []
     diag: dict = {}
     for v in variant_list:
@@ -395,26 +389,13 @@ def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int = 1) ->
     return diag
 
 
-def _ic_tuple(cfg: RunConfig):
-    return (
-        tuple(cfg.get("ic", "k1", (1, 0))),
-        tuple(cfg.get("ic", "k2", (2, 1))),
-        tuple(cfg.get("ic", "amps", (0.25, 0.2))),
-        tuple(cfg.get("ic", "phases", (0.0, 0.7))),
-    )
-
-
 def _viscosity_run(args) -> np.ndarray:
     """Worker: integrate one (variant, nu) leg and return final velocity coefficients."""
-    grid_n, alpha_val, variant, nu, dt, T, (k1, k2, amps, phases) = args
-    grid = make_grid(grid_n, grid_n)
-    alpha = AlphaParam(alpha_val)
-    psi = cosine_field(grid, k1, amps[0], phases[0]) + cosine_field(grid, k2, amps[1], phases[1])
-    u0 = derivative(psi, "perp_gradient")
-    q0 = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
-    state = VorticityState(q0, alpha)
+    cfg, seed, variant, nu = args
+    alpha = AlphaParam(cfg.get("physics", "alpha", 0.2))
+    state = initial_state(cfg, _grid_from(cfg), alpha, seed)
     mode = DissipationMode.inviscid() if variant == "inviscid" else DissipationMode(variant, nu)
-    state = run(state, dt, T, mode)
+    state = run(state, cfg.get("time", "dt", 2e-3), cfg.get("time", "t_final", 0.5), mode)
     return state.velocity().coeffs
 
 
@@ -451,11 +432,14 @@ def _exp_jacobi(cfg: RunConfig, outdir: str, seed: int) -> dict:
         zip(traj.times, traj.y_norms, traj.du_norms),
     )
 
-    base = _nonlinear_endpoint(u0, alpha, dt, T)
+    def endpoint(u: SpectralField) -> SpectralField:
+        return run(state_from_velocity(u, alpha), dt, T, DissipationMode.inviscid()).velocity()
+
+    base = endpoint(u0)
     rows = []
     errors = []
     for eps in epsilons:
-        pert_end = _nonlinear_endpoint(u0 + eps * pert, alpha, dt, T)
+        pert_end = endpoint(u0 + eps * pert)
         fd = SpectralField(grid, (pert_end.coeffs - base.coeffs) / eps)
         err = norm_alpha(fd - traj.delta_u_final, alpha)
         errors.append(err)
@@ -470,13 +454,6 @@ def _exp_jacobi(cfg: RunConfig, outdir: str, seed: int) -> dict:
         np.abs(steady.y_norms - steady.y_norms[0]).max() / steady.y_norms[0]
     )
     return diag
-
-
-def _nonlinear_endpoint(u0: SpectralField, alpha: AlphaParam, dt: float, T: float) -> SpectralField:
-    q0 = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
-    mean = np.array([u0.coeffs[0, 0, 0].real, u0.coeffs[1, 0, 0].real])
-    state = run(VorticityState(q0, alpha, 0.0, mean), dt, T, DissipationMode.inviscid())
-    return state.velocity()
 
 
 def _exp_flowmap(cfg: RunConfig, outdir: str, seed: int) -> dict:
@@ -553,7 +530,7 @@ def run_experiment(cfg: RunConfig, outdir: str, seed: int = 0, threads: int = 1)
             if driver is None:
                 raise ConfigError(f"unknown experiment {cfg.experiment!r}")
             diag = driver(cfg, outdir, seed)
-    except (RunAborted, BlowUpError, MonotonicityError, FloatingPointError) as e:
+    except (RunAborted, BlowUpError, MonotonicityError, FloatingPointError, SupportOverflowError) as e:
         t_last = getattr(e, "t_last_good", getattr(e, "t", float("nan")))
         write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e), "t_last_good": t_last})
         return 2

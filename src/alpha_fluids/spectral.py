@@ -46,8 +46,8 @@ class TorusGrid2D:
             raise ValueError(f"grid must be at least 4x4, got {nx}x{ny}")
         if nx % 2 or ny % 2:
             raise ValueError(f"grid sizes must be even, got {nx}x{ny}")
-        if Lx <= 0 or Ly <= 0:
-            raise ValueError("domain periods must be positive")
+        if not (0.0 < Lx < math.inf and 0.0 < Ly < math.inf):
+            raise ValueError(f"domain periods must be positive and finite, got {Lx} x {Ly}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.Lx = float(Lx)
@@ -92,7 +92,7 @@ class TorusGrid2D:
 
 
 def make_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI) -> TorusGrid2D:
-    """Build a torus grid; rejects odd or tiny sizes and nonpositive periods."""
+    """Build a torus grid; rejects odd or tiny sizes and nonpositive or non-finite periods."""
     return TorusGrid2D(nx, ny, Lx, Ly)
 
 

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from alpha_fluids.bessel import k1 as bessel_k1
 from alpha_fluids.blobs import BlobEnsemble, blob_diagnostics, blob_ring, corotation_rate, run_blobs
 from alpha_fluids.camassa_holm import (
     CHState,
@@ -35,6 +34,7 @@ from alpha_fluids.dynamics import (
     energy_alpha,
     rhs_vorticity,
     run,
+    state_from_velocity,
     step_rk4,
     third_grade_rhs,
 )
@@ -58,7 +58,6 @@ from alpha_fluids.spectral import (
     AlphaParam,
     SpectralField,
     cosine_field,
-    dealias_two_thirds,
     derivative,
     divergence_defect,
     inner_product_alpha,
@@ -84,9 +83,7 @@ def two_mode_velocity(grid, amps=(0.25, 0.2), k2=(2, 1)):
 
 
 def make_state(grid, alpha, amps=(0.25, 0.2), k2=(2, 1)):
-    u0 = two_mode_velocity(grid, amps, k2)
-    q0 = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
-    return VorticityState(q0, alpha)
+    return state_from_velocity(two_mode_velocity(grid, amps, k2), alpha)
 
 
 @pytest.fixture(scope="module")
@@ -343,8 +340,7 @@ def test_criterion_09_jacobi():
     traj = jacobi_evolve(u0, zero, pert, T, dt, alpha)
 
     def endpoint(u):
-        q0 = dealias_two_thirds(helmholtz_apply(derivative(u, "curl"), alpha))
-        return run(VorticityState(q0, alpha), dt, T, DissipationMode.inviscid()).velocity()
+        return run(state_from_velocity(u, alpha), dt, T, DissipationMode.inviscid()).velocity()
 
     base = endpoint(u0)
     errs = []

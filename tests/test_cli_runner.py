@@ -9,9 +9,11 @@ import pytest
 from alpha_fluids import dynamics, runner
 from alpha_fluids.checkpoint import read_checkpoint, write_checkpoint
 from alpha_fluids.cli import main
-from alpha_fluids.config import parse_config
+from alpha_fluids.config import load_config, parse_config
 from alpha_fluids.dynamics import DissipationMode, run
+from alpha_fluids.geometry import SupportOverflowError
 from alpha_fluids.runner import run_experiment
+from alpha_fluids.spectral import AlphaParam
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -132,6 +134,17 @@ class TestNumericalAbort:
         assert manifest["status"] == "INCOMPLETE"
         assert "finiteness" in manifest["abort_reason"]
 
+    def test_support_overflow_yields_incomplete_manifest_and_exit_2(self, tmp_path, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise SupportOverflowError("product support (9,0) exceeds the 16x16 grid; rerun on a larger grid")
+
+        monkeypatch.setattr(runner, "sectional_curvature", overflow)
+        out = tmp_path / "curvature"
+        cfg_path = os.path.join(CONFIG_DIR, "curvature_anchor.cfg")
+        assert main(["curvature", "--config", cfg_path, "--out", str(out)]) == 2
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert "exceeds the 16x16 grid" in manifest["abort_reason"]
 
     def test_cfl_reaching_one_on_step_3_aborts_there(self, tmp_path, monkeypatch):
         """The guard runs every step; a CFL number the run grows into is a numerical abort."""
@@ -249,3 +262,11 @@ variants = viscous
         assert run_experiment(cfg, str(out1), seed=0, threads=1) == 0
         assert run_experiment(cfg, str(out2), seed=0, threads=2) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+class TestInitialState:
+    def test_shipped_mean_velocity_has_no_sign_bit(self):
+        """A -0.0 mean would reach the checkpoint header as a set sign bit."""
+        cfg = load_config(os.path.join(CONFIG_DIR, "conservation_128.cfg"))
+        st = runner.initial_state(cfg, runner._grid_from(cfg), AlphaParam(cfg.get("physics", "alpha")), 0)
+        assert not np.signbit(st.mean_velocity).any()

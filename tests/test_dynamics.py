@@ -13,6 +13,7 @@ from alpha_fluids.dynamics import (
     energy_alpha,
     rhs_vorticity,
     run,
+    state_from_velocity,
     step_rk4,
     step_third_grade_rk4,
     third_grade_rhs,
@@ -46,22 +47,39 @@ def shear_state(grid, a):
 def two_mode_state(grid, a, amps=(0.25, 0.2)):
     alpha = AlphaParam(a)
     psi = cosine_field(grid, (1, 0), amps[0]) + cosine_field(grid, (2, 1), amps[1], 0.7)
-    u0 = derivative(psi, "perp_gradient")
-    q0 = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
-    return VorticityState(q0, alpha)
+    return state_from_velocity(derivative(psi, "perp_gradient"), alpha)
 
 
 def random_state(grid, a, seed=0, amplitude=0.05, mean_velocity=(0.3, -0.1)):
     """Dealiased white-noise stream function: every retained mode is live."""
     noise = np.random.default_rng(seed).standard_normal(grid.shape)
     u0 = derivative(dealias_two_thirds(to_spectral(grid, amplitude * noise)), "perp_gradient")
-    alpha = AlphaParam(a)
-    q0 = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
-    return VorticityState(q0, alpha, mean_velocity=mean_velocity)
+    return state_from_velocity(u0 + constant_velocity(grid, mean_velocity), AlphaParam(a))
+
+
+def constant_velocity(grid, mean_velocity):
+    c = np.zeros((2, *grid.shape), dtype=complex)
+    c[:, 0, 0] = mean_velocity
+    return SpectralField(grid, c)
 
 
 NON_SQUARE = (24, 40, 3.0, 7.5)
 MODES = [DissipationMode.inviscid(), DissipationMode.viscous(0.05), DissipationMode.strong(0.05)]
+
+
+class TestStateFromVelocity:
+    @pytest.mark.parametrize("shape", [(32, 32), NON_SQUARE])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_velocity_round_trip(self, shape, seed):
+        """Divergence-free u inside the 2/3 band with a nonzero mean comes back."""
+        g = make_grid(*shape)
+        rng = np.random.default_rng(seed)
+        psi = dealias_two_thirds(to_spectral(g, rng.standard_normal(g.shape)))
+        u = derivative(psi, "perp_gradient") + constant_velocity(g, rng.standard_normal(2))
+        st = state_from_velocity(u, AlphaParam(0.3))
+        assert np.abs(st.velocity().coeffs - u.coeffs).max() <= 1e-13 * np.abs(u.coeffs).max()
+        assert np.array_equal(st.mean_velocity, u.coeffs[:, 0, 0].real)
+        assert st.t == 0.0
 
 
 class TestVelocityFromQ:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from alpha_fluids import dynamics
-from alpha_fluids.dynamics import DissipationMode, VorticityState, run
+from alpha_fluids.dynamics import DissipationMode, VorticityState, run, state_from_velocity
 from alpha_fluids.flowmap import (
     _EVAL_TRUNCATION,
     FlowMap,
@@ -20,12 +20,10 @@ from alpha_fluids.flowmap import (
     volume_check,
 )
 from alpha_fluids.geometry import stream_mode
-from alpha_fluids.helmholtz import helmholtz_apply
 from alpha_fluids.spectral import (
     AlphaParam,
     SpectralField,
     cosine_field,
-    dealias_two_thirds,
     derivative,
     hermitianize,
     make_grid,
@@ -41,9 +39,7 @@ def shear_field(grid):
 def two_mode_setup(grid, a=0.2, amps=(0.25, 0.2)):
     alpha = AlphaParam(a)
     psi = cosine_field(grid, (1, 0), amps[0]) + cosine_field(grid, (2, 1), amps[1], 0.7)
-    u0 = derivative(psi, "perp_gradient")
-    q0 = dealias_two_thirds(helmholtz_apply(derivative(u0, "curl"), alpha))
-    return VorticityState(q0, alpha)
+    return state_from_velocity(derivative(psi, "perp_gradient"), alpha)
 
 
 def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:

@@ -13,9 +13,7 @@ import pytest
 from alpha_fluids.dynamics import velocity_from_q
 from alpha_fluids.geometry import (
     DegeneratePlaneError,
-    JacobiField,
     SupportOverflowError,
-    TrigVectorField,
     M_op,
     advect,
     arnold_closed_form,
@@ -381,8 +379,7 @@ class TestJacobiEvolve:
         assert drift < 1e-8
 
     def test_finite_difference_geodesic_deviation(self):
-        from alpha_fluids.dynamics import DissipationMode, VorticityState, run
-        from alpha_fluids.spectral import dealias_two_thirds
+        from alpha_fluids.dynamics import DissipationMode, run, state_from_velocity
 
         g = make_grid(32, 32)
         a = AlphaParam(0.2)
@@ -394,9 +391,7 @@ class TestJacobiEvolve:
         traj = jacobi_evolve(u0, z, pert, T, dt, a)
 
         def endpoint(u):
-            q0 = dealias_two_thirds(helmholtz_apply(derivative(u, "curl"), a))
-            st = run(VorticityState(q0, a), dt, T, DissipationMode.inviscid())
-            return st.velocity()
+            return run(state_from_velocity(u, a), dt, T, DissipationMode.inviscid()).velocity()
 
         base = endpoint(u0)
         errs = []
@@ -415,8 +410,6 @@ class TestJacobiEvolve:
         y0 = rand_stream(g, 32)
         traj = jacobi_evolve(u0, y0, zero_field(g, "vector"), 0.1, 2e-3, a)
         assert divergence_defect(traj.y_final) < 1e-11
-        assert isinstance(traj.samples[-1], JacobiField)
-        assert traj.samples[-1].t == pytest.approx(traj.times[-1])
 
 
 class TestJacobiGrowthVsCurvatureSign:
@@ -437,12 +430,3 @@ class TestJacobiGrowthVsCurvatureSign:
         assert s1 > 0.0 and s2 > 0.0
         assert max(s1, s2) / min(s1, s2) < 2.5  # same order across windows
         assert yn[np.searchsorted(t, 3.0)] > 2.0 * yn[np.searchsorted(t, 1.0)]
-
-
-class TestTrigVectorField:
-    def test_wrapper_accepted_everywhere(self):
-        g = make_grid(32, 32)
-        x = TrigVectorField(stream_mode(g, (1, 0)), "k=(1,0) stream mode")
-        y = TrigVectorField(stream_mode(g, (0, 1)), "k=(0,1) stream mode")
-        K = sectional_curvature(x, y, AlphaParam(0.0))
-        assert K == pytest.approx(-1 / (8 * np.pi**2), rel=1e-10)

@@ -169,3 +169,31 @@ amp = 0.2
     )
     assert man["status"] == "COMPLETE"
     assert float(man["energy_drift_rel"]) < 1e-9
+
+
+VISC_LIMIT = """
+[run]
+experiment = visc-limit
+[grid]
+nx = 16
+ny = 16
+[physics]
+alpha = 0.2
+[time]
+dt = 1e-2
+t_final = 0.1
+[ic]
+kind = {kind}
+[experiment]
+nus = 0.1 0.01
+variants = viscous
+"""
+
+
+def test_visc_limit_follows_ic_kind(tmp_path):
+    summaries = {}
+    for kind in ("single_mode", "two_mode"):
+        out = tmp_path / kind
+        assert run_experiment(parse_config(VISC_LIMIT.format(kind=kind)), str(out), seed=0) == 0
+        summaries[kind] = (out / "summary.csv").read_bytes()
+    assert summaries["single_mode"] != summaries["two_mode"]

@@ -89,6 +89,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(8, 8, Lx=-1.0)
 
+    @pytest.mark.parametrize("Lx,Ly", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+    def test_rejects_non_finite_periods(self, Lx, Ly):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(8, 8, Lx, Ly)
+
 
 class TestTransform:
     def test_single_mode_coefficients(self):
