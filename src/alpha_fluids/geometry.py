@@ -7,8 +7,9 @@ M-operator, the curvature operator, sectional curvature with the closed-form
 two-stream-mode anchor, the alpha sign-flip search, and Jacobi-field
 (linearized-flow) integration.
 
-All products of band-limited fields are computed alias-free by zero-padded
-multiplication; a product whose true spectral support exceeds the grid raises
+All products of band-limited fields are computed alias-free on the doubled
+grid with real transforms, one transform pair per operator for all of its
+factors; a product whose true spectral support exceeds the grid raises
 SupportOverflowError instead of silently aliasing.  With enough margin every
 operator here is exact to roundoff, which is what makes the closed-form
 curvature anchor a sharp test.
@@ -17,6 +18,7 @@ curvature anchor a sharp test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +34,9 @@ from .spectral import (
     inner_product_alpha,
     norm_alpha,
     to_physical,
+    to_physical_padded,
     to_spectral,
+    to_spectral_padded,
     zero_field,
 )
 
@@ -62,115 +66,153 @@ def _clean(f: SpectralField, rel: float = 1e-13) -> SpectralField:
     return SpectralField(f.grid, np.where(np.abs(c) > rel * scale, c, 0.0))
 
 
-def _support_bound(c: np.ndarray, jx: np.ndarray, jy: np.ndarray) -> tuple[int, int]:
-    """Largest |jx|, |jy| carrying a nonzero coefficient."""
-    mags = np.abs(c)
-    if c.ndim == 3:
-        mags = mags.max(axis=0)
-    mask = mags > 0.0
-    if not mask.any():
-        return 0, 0
-    sx = int(np.abs(jx)[mask.any(axis=1)].max(initial=0))
-    sy = int(np.abs(jy)[mask.any(axis=0)].max(initial=0))
-    return sx, sy
+class _Factors(NamedTuple):
+    """Scalar factors stacked as coefficients (n, nx, ny) on one grid."""
+
+    grid: TorusGrid2D
+    coeffs: np.ndarray
 
 
-def _exact_product(a: SpectralField, b: SpectralField) -> np.ndarray:
-    """Coefficients of the pointwise product a*b (both scalars), alias-free.
+class _Form(NamedTuple):
+    """Bilinear forms out[o] = sum of c * f_a * f_b over terms (o, a, b, c), by distinct pair
+    a <= b: weights[o, pair] sums the pair's c, counts[o, pair] its |c| (the floor's weights)."""
 
-    The factors' spectral supports are tracked (support growth under every
-    operation in this module keeps zeros exact); if their sum does not fit on
-    the grid the product would be aliased, so this raises instead.  Within
-    capacity the product is computed exactly on the doubled grid, with
-    coefficients below the FFT roundoff floor zeroed to keep supports sharp.
+    pairs: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray
+
+
+def _form(n_out: int, terms) -> _Form:
+    pairs = sorted({(min(a, b), max(a, b)) for _, a, b, _ in terms})
+    col = {p: i for i, p in enumerate(pairs)}
+    weights, counts = np.zeros((2, n_out, len(pairs)))
+    for o, a, b, c in terms:
+        weights[o, col[min(a, b), max(a, b)]] += c
+        counts[o, col[min(a, b), max(a, b)]] += abs(c)
+    return _Form(np.array(pairs), weights, counts)
+
+
+def _exact_product(factors: _Factors, form: _Form) -> np.ndarray:
+    """Coefficients (n_out, nx, ny) of the bilinear forms of stacked scalar factors, alias-free.
+
+    Each factor is cleaned on its own and its spectral support tracked
+    (support growth under every operation in this module keeps zeros exact);
+    if the supports of any pair the forms multiply sum past the grid, that
+    product would be aliased, so this raises instead.  Within capacity the
+    factors go to the doubled grid in one real inverse transform, the forms
+    are contracted pointwise there, and the outputs come back in one real
+    forward transform.  Each output's coefficients below the FFT roundoff
+    floor, 1e-13 * sum over its terms of max|f_a| * max|f_b|, are zeroed to
+    keep supports sharp.
     """
-    a, b = _clean(a), _clean(b)
-    g = a.grid
-    ax, ay = _support_bound(a.coeffs, g.jx, g.jy)
-    bx, by = _support_bound(b.coeffs, g.jx, g.jy)
-    if ax + bx > g.nx // 2 - 1 or ay + by > g.ny // 2 - 1:
+    g = factors.grid
+    c = factors.coeffs
+    mags = np.abs(c)
+    live = mags > 1e-13 * mags.max(axis=(1, 2), keepdims=True)
+    c = np.where(live, c, 0.0)
+    sx = np.where(live.any(axis=2), np.abs(g.jx), 0).max(axis=1)
+    sy = np.where(live.any(axis=1), np.abs(g.jy), 0).max(axis=1)
+    a, b = form.pairs.T
+    over = (sx[a] + sx[b] > g.nx // 2 - 1) | (sy[a] + sy[b] > g.ny // 2 - 1)
+    if over.any():
+        t = int(np.argmax(over))
         raise SupportOverflowError(
-            f"product support ({ax + bx},{ay + by}) exceeds the {g.nx}x{g.ny} grid; "
-            "rerun on a larger grid"
+            f"product support ({sx[a[t]] + sx[b[t]]},{sy[a[t]] + sy[b[t]]}) exceeds the "
+            f"{g.nx}x{g.ny} grid; rerun on a larger grid"
         )
-    nx2, ny2 = 2 * g.nx, 2 * g.ny
-    ix = np.fft.fftfreq(g.nx, d=1.0 / g.nx).astype(int)
-    iy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(int)
+    p = to_physical_padded(_Factors(g, c), (2 * g.nx, 2 * g.ny))
+    out = np.tensordot(form.weights, p[a] * p[b], axes=1)
+    peak = np.abs(p).max(axis=(1, 2))
+    floor = 1e-13 * (form.counts @ (peak[a] * peak[b]))
+    prod = to_spectral_padded(g, out)
+    return np.where(np.abs(prod) > floor[:, None, None], prod, 0.0)
 
-    def pad(c):
-        big = np.zeros((nx2, ny2), dtype=np.complex128)
-        big[np.ix_(ix, iy)] = c
-        return np.fft.ifft2(big * (nx2 * ny2)).real
 
-    pa, pb = pad(a.coeffs), pad(b.coeffs)
-    prod = np.fft.fft2(pa * pb) / (nx2 * ny2)
-    floor = 1e-13 * float(np.abs(pa).max()) * float(np.abs(pb).max())
-    prod = np.where(np.abs(prod) > floor, prod, 0.0)
-    return prod[np.ix_(ix, iy)]
+def _jacobian(u: SpectralField) -> np.ndarray:
+    """Stacked velocity gradient: entry 2i+m holds the coefficients of d_m u^i."""
+    d = np.stack([derivative(u, "x").coeffs, derivative(u, "y").coeffs], axis=1)
+    return d.reshape((4,) + u.grid.shape)
+
+
+# advect: factors (x^0, x^1, d_x y^0, d_y y^0, d_x y^1, d_y y^1); out^i = x^m d_m y^i
+_ADVECT = _form(2, [(i, m, 2 + 2 * i + m, 1.0) for i in range(2) for m in range(2)])
+
+
+def _calU_terms(shift: int) -> list:
+    """Terms of S_ij = T_ij + delta_ij Tr(Du Du) over factors Du (entry 2i+m + shift)."""
+    D = lambda i, m: shift + 2 * i + m
+    terms = []
+    for i in range(2):
+        for j in range(2):
+            o = shift + 2 * i + j
+            # T_{ij} = sum_m (d_m u^i d_m u^j + d_m u^i d_j u^m - d_i u^m d_j u^m)
+            for m in range(2):
+                terms += [(o, D(i, m), D(j, m), 1.0), (o, D(i, m), D(m, j), 1.0), (o, D(m, i), D(m, j), -1.0)]
+            if i == j:  # Tr(Du Du) = sum_{nm} d_m u^n d_n u^m
+                terms += [(o, D(n, m), D(m, n), 1.0) for n in range(2) for m in range(2)]
+    return terms
+
+
+_CALU = _form(4, _calU_terms(0))
+_CALU_PAIR = _form(8, _calU_terms(0) + _calU_terms(4))
+
+
+def _advect(x: SpectralField, y: SpectralField) -> SpectralField:
+    g = x.grid
+    out = _exact_product(_Factors(g, np.concatenate([x.coeffs, _jacobian(y)])), _ADVECT)
+    return SpectralField._adopt(g, out)
 
 
 def advect(x: SpectralField, y: SpectralField) -> SpectralField:
     """Directional derivative (x . grad) y, exact for band-limited inputs."""
-    x, y = _clean(x), _clean(y)
-    g = x.grid
-    out = np.empty((2, g.nx, g.ny), dtype=np.complex128)
-    for i in range(2):
-        yi = y.component(i)
-        out[i] = (
-            _exact_product(x.component(0), derivative(yi, "x"))
-            + _exact_product(x.component(1), derivative(yi, "y"))
-        )
-    return SpectralField(g, out)
+    return _advect(_clean(x), _clean(y))
 
 
 def lie_bracket(x: SpectralField, y: SpectralField) -> SpectralField:
     """[x, y] = (x . grad) y - (y . grad) x; divergence-free for solenoidal x, y."""
-    return advect(x, y) - advect(y, x)
+    x, y = _clean(x), _clean(y)
+    return _advect(x, y) - _advect(y, x)
 
 
 # -- the metric's quadratic operator and its polarization --------------------------
+
+
+def _smoothed_divergence(g: TorusGrid2D, S: np.ndarray, alpha: AlphaParam) -> SpectralField:
+    """alpha^2 (1 - alpha^2 L)^{-1} div S for the tensor S stacked as S[2i+j] = S_ij."""
+    vec = 1j * g.kx * S[0::2] + 1j * g.ky * S[1::2]
+    return alpha.alpha_sq * helmholtz_inverse(SpectralField._adopt(g, vec), alpha)
 
 
 def calU(u: SpectralField, alpha: AlphaParam) -> SpectralField:
     """alpha^2 (1 - alpha^2 L)^{-1} { div[Du Du^t + Du Du - Du^t Du] + grad Tr(Du Du) }.
 
     Du is the velocity gradient (Du)_{ij} = d_j u^i; the matrix divergence
-    contracts the second index, (div T)^i = d_j T_{ij}.  The smoothing inverse
-    acts mode-wise as (1 + alpha^2 |k|^2)^{-1}.  Quadratic: calU(c u) = c^2 calU(u).
+    contracts the second index, (div T)^i = d_j T_{ij}, and the gradient joins
+    it as div of Tr(Du Du) times the identity.  The smoothing inverse acts
+    mode-wise as (1 + alpha^2 |k|^2)^{-1}.  Quadratic: calU(c u) = c^2 calU(u).
     """
-    u = _clean(u)
     g = u.grid
     if alpha.alpha == 0.0:
         return zero_field(g, "vector")
-    d = [[derivative(u.component(i), ax) for ax in ("x", "y")] for i in range(2)]
-    # T_{ij} = sum_m (d_m u^i d_m u^j + d_m u^i d_j u^m - d_i u^m d_j u^m)
-    T = np.empty((2, 2, g.nx, g.ny), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            acc = np.zeros((g.nx, g.ny), dtype=np.complex128)
-            for m in range(2):
-                acc += _exact_product(d[i][m], d[j][m])      # Du Du^t
-                acc += _exact_product(d[i][m], d[m][j])      # Du Du
-                acc -= _exact_product(d[m][i], d[m][j])      # Du^t Du
-            T[i, j] = acc
-    kx, ky = g.kx, g.ky
-    divT0 = 1j * kx * T[0, 0] + 1j * ky * T[0, 1]
-    divT1 = 1j * kx * T[1, 0] + 1j * ky * T[1, 1]
-    # Tr(Du Du) = sum_{im} d_m u^i d_i u^m
-    tr = np.zeros((g.nx, g.ny), dtype=np.complex128)
-    for i in range(2):
-        for m in range(2):
-            tr += _exact_product(d[i][m], d[m][i])
-    vec = SpectralField(g, np.stack([divT0 + 1j * kx * tr, divT1 + 1j * ky * tr]))
-    return alpha.alpha_sq * helmholtz_inverse(vec, alpha)
+    S = _exact_product(_Factors(g, _jacobian(_clean(u))), _CALU)
+    return _smoothed_divergence(g, S, alpha)
+
+
+def _frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
+    g = x.grid
+    factors = np.concatenate([_jacobian(_clean(x + y)), _jacobian(_clean(x - y))])
+    S = _exact_product(_Factors(g, factors), _CALU_PAIR)
+    return 0.25 * (_smoothed_divergence(g, S[:4], alpha) - _smoothed_divergence(g, S[4:], alpha))
 
 
 def frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
-    """Symmetric bilinear polarization, frakU(x,y) = (calU(x+y) - calU(x-y)) / 4."""
-    x, y = _clean(x), _clean(y)
+    """Symmetric bilinear polarization, frakU(x,y) = (calU(x+y) - calU(x-y)) / 4.
+
+    Both quadratic terms share one transform pair.
+    """
     if alpha.alpha == 0.0:
         return zero_field(x.grid, "vector")
-    return 0.25 * (calU(x + y, alpha) - calU(x - y, alpha))
+    return _frakU(_clean(x), _clean(y), alpha)
 
 
 def covariant_derivative(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
@@ -185,9 +227,9 @@ def covariant_derivative(x: SpectralField, y: SpectralField, alpha: AlphaParam) 
     P_e (x . grad) y.
     """
     x, y = _clean(x), _clean(y)
-    inner = advect(x, y)
+    inner = _advect(x, y)
     if alpha.alpha != 0.0:
-        inner = inner + frakU(x, y, alpha)
+        inner = inner + _frakU(x, y, alpha)
     return leray_project(inner)
 
 
@@ -199,10 +241,10 @@ def M_op(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField
     P_e (x.grad) y + P_e frakU(x,y).
     """
     x, y = _clean(x), _clean(y)
-    a = advect(x, y)
+    a = _advect(x, y)
     out = a - leray_project(a)
     if alpha.alpha != 0.0:
-        out = out + leray_project(frakU(x, y, alpha))
+        out = out + leray_project(_frakU(x, y, alpha))
     return out
 
 

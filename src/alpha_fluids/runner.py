@@ -44,6 +44,7 @@ from .dynamics import (
 )
 from .flowmap import co_advect, make_lattice, transport_check, volume_check
 from .geometry import (
+    DegeneratePlaneError,
     SupportOverflowError,
     arnold_closed_form,
     find_alpha0,
@@ -530,7 +531,8 @@ def run_experiment(cfg: RunConfig, outdir: str, seed: int = 0, threads: int = 1)
             if driver is None:
                 raise ConfigError(f"unknown experiment {cfg.experiment!r}")
             diag = driver(cfg, outdir, seed)
-    except (RunAborted, BlowUpError, MonotonicityError, FloatingPointError, SupportOverflowError) as e:
+    except (RunAborted, BlowUpError, MonotonicityError, FloatingPointError, SupportOverflowError,
+            DegeneratePlaneError) as e:  # a ValueError, but a numerical outcome: caught first
         t_last = getattr(e, "t_last_good", getattr(e, "t", float("nan")))
         write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e), "t_last_good": t_last})
         return 2

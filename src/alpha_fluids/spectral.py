@@ -198,9 +198,26 @@ def to_spectral(grid: TorusGrid2D, samples: np.ndarray) -> SpectralField:
     s = np.asarray(samples, dtype=float)
     if s.shape not in ((grid.nx, grid.ny), (2, grid.nx, grid.ny)):
         raise ValueError(f"sample shape {s.shape} does not match grid {grid.shape}")
+    return SpectralField._adopt(grid, to_spectral_padded(grid, s))
+
+
+def to_spectral_padded(grid: TorusGrid2D, samples: np.ndarray) -> np.ndarray:
+    """Coefficients on grid's (nx, ny) band of real samples (..., mx, my), mx >= nx, my >= ny.
+
+    Keeps the rfft2 half's rows jx and columns 0 <= jy <= ny/2, fills the
+    jy < 0 half by conjugate mirror and symmetrizes the self-conjugate columns
+    jy = 0 and ny/2, so the result is exactly Hermitian on the (nx, ny) grid.
+    On a padded axis column ny/2 holds the mean of modes +-ny/2 (off the row
+    jx = -nx/2, whose mirror is taken on the small grid).
+    """
+    mx, my = samples.shape[-2:]
+    if mx < grid.nx or my < grid.ny:
+        raise ValueError(f"sample grid {(mx, my)} is smaller than {grid.shape}")
     h = grid.ny // 2
-    half = scipy.fft.rfft2(s, norm="forward")
-    c = np.empty(s.shape, dtype=np.complex128)
+    half = scipy.fft.rfft2(samples, norm="forward")
+    if (mx, my) != grid.shape:
+        half = half[..., grid.jx % mx, : h + 1]
+    c = np.empty(samples.shape[:-2] + grid.shape, dtype=np.complex128)
     c[..., : h + 1] = half
     # c[jx, -jy] = conj(c[-jx, jy]) for 0 < jy < ny/2; -jx is row 0 for jx = 0, else row nx - jx
     np.conjugate(half[..., 0, h - 1 : 0 : -1], out=c[..., 0, h + 1 :])
@@ -208,7 +225,7 @@ def to_spectral(grid: TorusGrid2D, samples: np.ndarray) -> SpectralField:
     # the columns jy = 0 and ny/2 are their own mirrors (index -jx wraps to row -jx mod nx)
     ends = half[..., [0, h]]
     c[..., [0, h]] = 0.5 * (ends + np.conj(ends[..., -grid.jx, :]))
-    return SpectralField._adopt(grid, c)
+    return c
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
@@ -219,6 +236,9 @@ def to_physical(f: SpectralField) -> np.ndarray:
 
 def to_physical_padded(f: SpectralField, shape: tuple[int, int]) -> np.ndarray:
     """Samples of f on a finer mx x my grid (exact band-limited interpolation).
+
+    f may also be a stack of fields: anything with a grid and coeffs of shape
+    (..., nx, ny); the samples then have shape (..., mx, my).
 
     Equals the real part of the inverse transform of the zero-padded full
     spectrum with each Nyquist mode j = -n/2 at index -n/2 of the larger grid,

@@ -11,7 +11,7 @@ from alpha_fluids.checkpoint import read_checkpoint, write_checkpoint
 from alpha_fluids.cli import main
 from alpha_fluids.config import load_config, parse_config
 from alpha_fluids.dynamics import DissipationMode, run
-from alpha_fluids.geometry import SupportOverflowError
+from alpha_fluids.geometry import DegeneratePlaneError, SupportOverflowError
 from alpha_fluids.runner import run_experiment
 from alpha_fluids.spectral import AlphaParam
 
@@ -145,6 +145,19 @@ class TestNumericalAbort:
         manifest = read_manifest(out)
         assert manifest["status"] == "INCOMPLETE"
         assert "exceeds the 16x16 grid" in manifest["abort_reason"]
+
+    def test_degenerate_plane_yields_incomplete_manifest_and_exit_2(self, tmp_path, monkeypatch, capsys):
+        def collinear(*args, **kwargs):
+            raise DegeneratePlaneError("directions are numerically collinear")
+
+        monkeypatch.setattr(runner, "sectional_curvature", collinear)
+        out = tmp_path / "curvature"
+        cfg_path = os.path.join(CONFIG_DIR, "curvature_anchor.cfg")
+        assert main(["curvature", "--config", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert manifest["abort_reason"] == "directions are numerically collinear"
 
     def test_cfl_reaching_one_on_step_3_aborts_there(self, tmp_path, monkeypatch):
         """The guard runs every step; a CFL number the run grows into is a numerical abort."""

@@ -9,12 +9,18 @@ The derived oracles here are the ones that pin every convention:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alpha_fluids.dynamics import velocity_from_q
 from alpha_fluids.geometry import (
     DegeneratePlaneError,
     SupportOverflowError,
     M_op,
+    _clean,
+    _exact_product,
+    _Factors,
+    _form,
     advect,
     arnold_closed_form,
     calU,
@@ -34,6 +40,7 @@ from alpha_fluids.spectral import (
     SpectralField,
     cosine_field,
     derivative,
+    field_from_modes,
     inner_product_alpha,
     make_grid,
     mode,
@@ -47,10 +54,8 @@ from alpha_fluids.spectral import (
 S_2PI = 4 * np.pi**2
 
 
-def rand_stream(grid, seed, kmax=2, nmodes=4):
-    """Divergence-free band-limited field with exactly zero off-mode noise."""
-    from alpha_fluids.spectral import field_from_modes
-
+def rand_modes(grid, seed, kmax=2, nmodes=4):
+    """Real scalar field of a few random modes |j| <= kmax, with exactly zero off-mode noise."""
     rng = np.random.default_rng(seed)
     table = {}
     for _ in range(nmodes):
@@ -60,8 +65,191 @@ def rand_stream(grid, seed, kmax=2, nmodes=4):
         c = 0.5 * rng.standard_normal() * np.exp(1j * rng.uniform(0, 2 * np.pi))
         table[(kx, ky)] = table.get((kx, ky), 0.0) + c
         table[(-kx, -ky)] = table.get((-kx, -ky), 0.0) + np.conj(c)
-    psi = field_from_modes(grid, table)
-    return derivative(psi, "perp_gradient")
+    return field_from_modes(grid, table)
+
+
+def rand_stream(grid, seed, kmax=2, nmodes=4):
+    """Divergence-free band-limited field with exactly zero off-mode noise."""
+    return derivative(rand_modes(grid, seed, kmax, nmodes), "perp_gradient")
+
+
+# -- the predecessor of the batched products: one pair per call, complex transforms --
+
+
+def _support_bound(c: np.ndarray, jx: np.ndarray, jy: np.ndarray) -> tuple[int, int]:
+    """Largest |jx|, |jy| carrying a nonzero coefficient."""
+    mags = np.abs(c)
+    if c.ndim == 3:
+        mags = mags.max(axis=0)
+    mask = mags > 0.0
+    if not mask.any():
+        return 0, 0
+    sx = int(np.abs(jx)[mask.any(axis=1)].max(initial=0))
+    sy = int(np.abs(jy)[mask.any(axis=0)].max(initial=0))
+    return sx, sy
+
+
+def padded_complex_product(a: SpectralField, b: SpectralField) -> np.ndarray:
+    """Coefficients of the pointwise product a*b (both scalars), alias-free.
+
+    The factors' spectral supports are tracked (support growth under every
+    operation in this module keeps zeros exact); if their sum does not fit on
+    the grid the product would be aliased, so this raises instead.  Within
+    capacity the product is computed exactly on the doubled grid, with
+    coefficients below the FFT roundoff floor zeroed to keep supports sharp.
+    """
+    a, b = _clean(a), _clean(b)
+    g = a.grid
+    ax, ay = _support_bound(a.coeffs, g.jx, g.jy)
+    bx, by = _support_bound(b.coeffs, g.jx, g.jy)
+    if ax + bx > g.nx // 2 - 1 or ay + by > g.ny // 2 - 1:
+        raise SupportOverflowError(
+            f"product support ({ax + bx},{ay + by}) exceeds the {g.nx}x{g.ny} grid; "
+            "rerun on a larger grid"
+        )
+    nx2, ny2 = 2 * g.nx, 2 * g.ny
+    ix = np.fft.fftfreq(g.nx, d=1.0 / g.nx).astype(int)
+    iy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(int)
+
+    def pad(c):
+        big = np.zeros((nx2, ny2), dtype=np.complex128)
+        big[np.ix_(ix, iy)] = c
+        return np.fft.ifft2(big * (nx2 * ny2)).real
+
+    pa, pb = pad(a.coeffs), pad(b.coeffs)
+    prod = np.fft.fft2(pa * pb) / (nx2 * ny2)
+    floor = 1e-13 * float(np.abs(pa).max()) * float(np.abs(pb).max())
+    prod = np.where(np.abs(prod) > floor, prod, 0.0)
+    return prod[np.ix_(ix, iy)]
+
+
+def ref_advect(x, y):
+    x, y = _clean(x), _clean(y)
+    g = x.grid
+    out = np.empty((2, g.nx, g.ny), dtype=np.complex128)
+    for i in range(2):
+        yi = y.component(i)
+        out[i] = (
+            padded_complex_product(x.component(0), derivative(yi, "x"))
+            + padded_complex_product(x.component(1), derivative(yi, "y"))
+        )
+    return SpectralField(g, out)
+
+
+def ref_calU(u, alpha):
+    u = _clean(u)
+    g = u.grid
+    if alpha.alpha == 0.0:
+        return zero_field(g, "vector")
+    d = [[derivative(u.component(i), ax) for ax in ("x", "y")] for i in range(2)]
+    T = np.empty((2, 2, g.nx, g.ny), dtype=np.complex128)
+    for i in range(2):
+        for j in range(2):
+            acc = np.zeros((g.nx, g.ny), dtype=np.complex128)
+            for m in range(2):
+                acc += padded_complex_product(d[i][m], d[j][m])
+                acc += padded_complex_product(d[i][m], d[m][j])
+                acc -= padded_complex_product(d[m][i], d[m][j])
+            T[i, j] = acc
+    kx, ky = g.kx, g.ky
+    divT0 = 1j * kx * T[0, 0] + 1j * ky * T[0, 1]
+    divT1 = 1j * kx * T[1, 0] + 1j * ky * T[1, 1]
+    tr = np.zeros((g.nx, g.ny), dtype=np.complex128)
+    for i in range(2):
+        for m in range(2):
+            tr += padded_complex_product(d[i][m], d[m][i])
+    vec = SpectralField(g, np.stack([divT0 + 1j * kx * tr, divT1 + 1j * ky * tr]))
+    return alpha.alpha_sq * helmholtz_inverse(vec, alpha)
+
+
+def ref_frakU(x, y, alpha):
+    x, y = _clean(x), _clean(y)
+    if alpha.alpha == 0.0:
+        return zero_field(x.grid, "vector")
+    return 0.25 * (ref_calU(x + y, alpha) - ref_calU(x - y, alpha))
+
+
+def ref_covariant_derivative(x, y, alpha):
+    x, y = _clean(x), _clean(y)
+    inner = ref_advect(x, y)
+    if alpha.alpha != 0.0:
+        inner = inner + ref_frakU(x, y, alpha)
+    return leray_project(inner)
+
+
+def ref_curvature_op(x, y, z, alpha):
+    x, y, z = _clean(x), _clean(y), _clean(z)
+    cd = ref_covariant_derivative
+    bracket = ref_advect(x, y) - ref_advect(y, x)
+    return cd(x, cd(y, z, alpha), alpha) - cd(y, cd(x, z, alpha), alpha) - cd(bracket, z, alpha)
+
+
+def rel_diff(out, ref):
+    return np.abs(out.coeffs - ref.coeffs).max() / max(np.abs(ref.coeffs).max(), np.finfo(float).tiny)
+
+
+ORACLE_GRIDS = [(32, 32, 2 * np.pi, 2 * np.pi), (64, 64, 2 * np.pi, 2 * np.pi), (24, 40, 3.0, 7.5)]
+
+
+class TestBatchedProductsMatchPredecessor:
+    """The batched real-transform operators against the pairwise complex-pad oracle."""
+
+    @pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+    @pytest.mark.parametrize("a_val", [0.0, 0.3])
+    def test_operators(self, nx, ny, Lx, Ly, a_val):
+        g = make_grid(nx, ny, Lx, Ly)
+        a = AlphaParam(a_val)
+        x, y, z = rand_stream(g, 41), rand_stream(g, 42), rand_stream(g, 43)
+        assert rel_diff(advect(x, y), ref_advect(x, y)) <= 1e-13
+        assert rel_diff(calU(x, a), ref_calU(x, a)) <= 1e-13
+        assert rel_diff(frakU(x, y, a), ref_frakU(x, y, a)) <= 1e-13
+        assert rel_diff(covariant_derivative(x, y, a), ref_covariant_derivative(x, y, a)) <= 1e-13
+        assert rel_diff(curvature_op(x, y, z, a), ref_curvature_op(x, y, z, a)) <= 1e-13
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_support_boundary(self, axis):
+        """Supports summing to n/2 - 1 on one axis multiply; n/2 raises, as in the predecessor."""
+        g = make_grid(16, 12)
+        half = g.shape[axis] // 2
+        lo = (half - 1) // 2
+
+        def factors(j1, j2):
+            k1, k2 = ((j1, 1), (j2, 1)) if axis == 0 else ((1, j1), (1, j2))
+            return cosine_field(g, k1), cosine_field(g, k2, 0.7)
+
+        product = _form(1, [(0, 0, 1, 1.0)])
+        a, b = factors(lo, half - 1 - lo)
+        out = _exact_product(_Factors(g, np.stack([a.coeffs, b.coeffs])), product)[0]
+        ref = padded_complex_product(a, b)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        a, b = factors(lo + 1, half - 1 - lo)
+        with pytest.raises(SupportOverflowError, match="larger grid"):
+            padded_complex_product(a, b)
+        with pytest.raises(SupportOverflowError, match="larger grid"):
+            _exact_product(_Factors(g, np.stack([a.coeffs, b.coeffs])), product)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        grid=st.sampled_from([(16, 16, 2 * np.pi, 2 * np.pi), (24, 20, 3.0, 7.5)]),
+        seeds=st.tuples(*[st.integers(0, 2**32 - 1)] * 3),
+        s=st.floats(-4.0, 4.0).filter(lambda v: abs(v) > 1e-3),
+    )
+    def test_product_bilinear_and_symmetric(self, grid, seeds, s):
+        g = make_grid(*grid)
+        a, b, c = (rand_modes(g, seed, kmax=3) for seed in seeds)
+        product = _form(1, [(0, 0, 1, 1.0)])
+
+        def mul(f, h):
+            return _exact_product(_Factors(g, np.stack([f.coeffs, h.coeffs])), product)[0]
+
+        ab, cb = mul(a, b), mul(c, b)
+        ref = padded_complex_product(a, b)
+        assert np.abs(ab - ref).max() <= 1e-13 * max(np.abs(ref).max(), np.finfo(float).tiny)
+        assert np.array_equal(mul(b, a), ab)
+        lhs = mul(s * a + c, b)
+        rhs = s * ab + cb
+        scale = max(abs(s) * np.abs(ab).max(), np.abs(cb).max(), np.finfo(float).tiny)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
 
 class TestCalU:

@@ -2,13 +2,19 @@
 
 import math
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alpha_fluids.helmholtz import leray_project
 from alpha_fluids.spectral import (
     AlphaParam,
     SpectralField,
     cosine_field,
+    dealias_modes,
     dealias_two_thirds,
     derivative,
     divergence_defect,
@@ -20,6 +26,7 @@ from alpha_fluids.spectral import (
     to_physical,
     to_physical_padded,
     to_spectral,
+    to_spectral_padded,
     zero_field,
 )
 
@@ -190,6 +197,99 @@ def test_padded_inverse_rejects_smaller_grid():
     g = make_grid(16, 16)
     with pytest.raises(ValueError):
         to_physical_padded(zero_field(g), (16, 8))
+
+
+def test_padded_inverse_of_a_stack():
+    g = make_grid(24, 40, 3.0, 7.5)
+    stack = np.stack([random_real(g, seed, "vector").coeffs for seed in range(3)])
+    out = to_physical_padded(SimpleNamespace(grid=g, coeffs=stack), (48, 80))
+    assert out.shape == (3, 2, 48, 80)
+    for i in range(3):
+        assert np.array_equal(out[i], to_physical_padded(SpectralField(g, stack[i]), (48, 80)))
+
+
+def band_limited(grid, seed=0, rank="scalar"):
+    """Random real field on every mode |j| <= n/2 - 1: no Nyquist row or column."""
+    return dealias_modes(random_real(grid, seed, rank), grid.nx // 2 - 1, grid.ny // 2 - 1)
+
+
+@pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+@pytest.mark.parametrize("pad", PADDED_SHAPES)
+def test_padded_forward_inverts_padded_inverse(nx, ny, Lx, Ly, pad):
+    g = make_grid(nx, ny, Lx, Ly)
+    f = band_limited(g, seed=nx, rank="vector")
+    c = to_spectral_padded(g, to_physical_padded(f, PADDED_SHAPES[pad](g)))
+    assert rel_err(c, f.coeffs) <= 1e-14
+    assert hermitian_asymmetry(SpectralField(g, c)) == 0.0
+
+
+@pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+def test_padded_forward_matches_complex_band(nx, ny, Lx, Ly):
+    """Samples of a product on the doubled grid: the band of the complex transform, off Nyquist."""
+    g = make_grid(nx, ny, Lx, Ly)
+    fine = (2 * nx, 2 * ny)
+    samples = to_physical_padded(band_limited(g, 1), fine) * to_physical_padded(band_limited(g, 2), fine)
+    full = np.fft.fft2(samples) / samples.size
+    ref = full[np.ix_(g.jx % fine[0], g.jy % fine[1])]
+    out = to_spectral_padded(g, samples)
+    inner = (np.abs(g.jx)[:, None] < nx // 2) & (np.abs(g.jy)[None, :] < ny // 2)
+    assert np.abs(out - ref)[inner].max() <= 1e-14 * np.abs(ref).max()
+    # on a padded axis the column jy = -ny/2 holds the mean of modes +-ny/2 (off the Nyquist row)
+    h, rows = ny // 2, np.abs(g.jx) < nx // 2
+    plus = full[g.jx % fine[0], h]
+    assert np.abs(out[:, h] - 0.5 * (ref[:, h] + plus))[rows].max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_padded_forward_rejects_smaller_grid():
+    with pytest.raises(ValueError):
+        to_spectral_padded(make_grid(16, 16), np.zeros((16, 8)))
+
+
+# -- properties on random fields ------------------------------------------------------
+
+GRIDS = st.builds(
+    lambda nx, ny, lx, ly: make_grid(2 * nx, 2 * ny, lx, ly),
+    st.integers(2, 20),
+    st.integers(2, 20),
+    st.floats(0.5, 20.0),
+    st.floats(0.5, 20.0),
+)
+SEEDS = st.integers(0, 2**32 - 1)
+RANKS = st.sampled_from(["scalar", "vector"])
+
+
+class TestSpectralProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS, rank=RANKS)
+    def test_parseval(self, grid, seed, rank):
+        shape = grid.shape if rank == "scalar" else (2,) + grid.shape
+        samples = np.random.default_rng(seed).standard_normal(shape)
+        f = to_spectral(grid, samples)
+        energy = np.sum(samples**2) / (grid.nx * grid.ny)
+        assert np.sum(np.abs(f.coeffs) ** 2) == pytest.approx(energy, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS, rank=RANKS)
+    def test_to_spectral_exactly_hermitian(self, grid, seed, rank):
+        assert hermitian_asymmetry(random_real(grid, seed, rank)) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS, op=st.sampled_from(["x", "y", "laplacian", "gradient", "perp_gradient"]))
+    def test_derivative_keeps_exact_hermitian_symmetry(self, grid, seed, op):
+        f = band_limited(grid, seed)
+        assert hermitian_asymmetry(derivative(f, op)) == 0.0
+        if op in ("gradient", "perp_gradient"):
+            for vec_op in ("divergence", "curl"):
+                assert hermitian_asymmetry(derivative(derivative(f, op), vec_op)) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS)
+    def test_leray_idempotent_and_exactly_hermitian(self, grid, seed):
+        u = band_limited(grid, seed, "vector")
+        p = leray_project(u)
+        assert hermitian_asymmetry(p) == 0.0
+        assert np.abs(leray_project(p).coeffs - p.coeffs).max() <= 1e-14 * np.abs(u.coeffs).max()
+        assert divergence_defect(p) <= 1e-14
 
 
 class TestDerivative:
