@@ -10,9 +10,11 @@ Layout (all multi-byte values little-endian):
     bytes 84..    payload: nx*ny complex coefficients of q as f64 pairs
                   (real, imag interleaved), row-major over (k_x, k_y)
 
+The payload is spectral.full_coeffs(q); in memory q holds its jy >= 0 half.
 Write-then-read reproduces coefficients bit-exactly.  Reading rejects, with
 CheckpointError, any header field a state cannot carry and a payload that is
-not finite or not realizable as a potential vorticity.
+not finite, whose jy < 0 half is not the conjugate mirror of its jy > 0
+half, or that is not realizable as a potential vorticity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import struct
 import numpy as np
 
 from .dynamics import VorticityState
-from .spectral import AlphaParam, SpectralField, make_grid
+from .spectral import AlphaParam, SpectralField, full_coeffs, make_grid
 
 MAGIC = b"ALFL"
 VERSION = 1
@@ -70,7 +72,7 @@ def write_checkpoint(state: VorticityState, path, tag: str = "", nu: float = 0.0
         g.Lx,
         g.Ly,
     )
-    payload = np.ascontiguousarray(state.q.coeffs, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(full_coeffs(state.q), dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -102,9 +104,11 @@ def read_checkpoint(path) -> tuple[VorticityState, dict]:
     if not np.isfinite(coeffs).all():
         raise CheckpointError("payload holds non-finite coefficients")
     grid = make_grid(nx, ny, header["lx"], header["ly"])
-    mean = (header["mean_ux"], header["mean_uy"])
+    q = SpectralField(grid, coeffs[:, : ny // 2 + 1])
+    if not np.array_equal(full_coeffs(q), coeffs):
+        raise CheckpointError("payload: the jy < 0 half of q is not the conjugate mirror of its jy > 0 half")
     try:
-        state = VorticityState(SpectralField(grid, coeffs), AlphaParam(header["alpha"]), header["t"], mean)
+        state = VorticityState(q, AlphaParam(header["alpha"]), header["t"], (header["mean_ux"], header["mean_uy"]))
     except ValueError as e:  # q with a nonzero mean
         raise CheckpointError(f"payload: {e}") from None
     return state, {"tag": tag, "nu": header["nu"]}

@@ -5,7 +5,7 @@
 The positional experiment must agree with the config's [run] experiment (a
 guard against launching the wrong file).  --threads falls back to the
 ALPHA_FLUIDS_THREADS environment variable, then 1.  Exit status: 0 success,
-1 usage, configuration or other bad-input (e.g. CFL) error, 2 numerical abort.
+1 bad input (usage, config file, seed outside [0, 2^64), CFL), 2 numerical abort.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 1
-    except ConfigError as e:
+    except (ConfigError, OSError, UnicodeDecodeError) as e:  # OSError: a directory, unreadable, ...
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -56,6 +56,9 @@ def main(argv=None) -> int:
 
     outdir = args.out or cfg.get("run", "out") or os.path.join("runs", cfg.experiment)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed", 0)
+    if not 0 <= seed < 2**64:
+        print(f"error: seed {seed} is not an unsigned 64-bit integer", file=sys.stderr)
+        return 1
     threads = args.threads if args.threads is not None else _default_threads()
     return run_experiment(cfg, outdir, seed=seed, threads=threads)
 

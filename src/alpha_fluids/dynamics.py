@@ -33,6 +33,7 @@ from .spectral import (
     derivative,
     grad_components,
     hermitianize,
+    sum_modes,
     to_physical,
     to_physical_padded,
     to_spectral,
@@ -268,7 +269,7 @@ def energy_alpha(state: VorticityState) -> float:
     """E = (1/2) <u, u>_alpha = (1/2) S sum_k (1 + alpha^2 |k|^2) |uhat|^2."""
     u = state.velocity()
     w = 1.0 + state.alpha.alpha_sq * state.grid.k_sq
-    return float(0.5 * state.grid.area * np.sum(w * np.abs(u.coeffs) ** 2))
+    return 0.5 * state.grid.area * sum_modes(state.grid, w * np.abs(u.coeffs) ** 2)
 
 
 # -- third-grade fluid in momentum form ------------------------------------------------

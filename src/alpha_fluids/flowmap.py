@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DissipationMode, VorticityState, state_from_velocity, step_rk4
-from .spectral import TWO_PI, AlphaParam, SpectralField, TorusGrid2D
+from .spectral import TWO_PI, AlphaParam, SpectralField, TorusGrid2D, full_coeffs
 
 _EVAL_TRUNCATION = 1e-16  # relative: modes below this cannot move max error past 1e-13
 
@@ -109,11 +109,11 @@ def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (P, 2)")
     g = f.grid
-    c = f.coeffs if f.is_vector else f.coeffs[None, :, :]
+    c = full_coeffs(f).reshape(-1, g.nx, g.ny)
     mags = np.abs(c).max(axis=0)
     thr = _EVAL_TRUNCATION * mags.max()
     jx = g.jx[mags.max(axis=1) > thr]
-    jy = g.jy[mags.max(axis=0) > thr]
+    jy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(np.int64)[mags.max(axis=0) > thr]
     ux, gx = _fold(jx)
     uy, gy = _fold(jy)
     folded = (gx @ c[:, jx][:, :, jy] @ gy.T).real        # (r, 2Ux, 2Uy)
@@ -234,18 +234,10 @@ def volume_check(fmap: FlowMap) -> float:
 
     def shifted(axis: int, sign: int) -> np.ndarray:
         rolled = np.roll(pos, -sign, axis=axis)
-        offset = np.zeros_like(pos)
-        comp = 0 if axis == 0 else 1
-        period = g.Lx if axis == 0 else g.Ly
-        if sign > 0:
-            idx = [slice(None)] * 3
-            idx[axis] = slice(m - 1, m)
-            offset[tuple(idx)] = np.array([period if comp == 0 else 0.0, period if comp == 1 else 0.0])
-        else:
-            idx = [slice(None)] * 3
-            idx[axis] = slice(0, 1)
-            offset[tuple(idx)] = -np.array([period if comp == 0 else 0.0, period if comp == 1 else 0.0])
-        return rolled + offset
+        seam = [slice(None), slice(None), axis]  # the wrapped neighbors' coordinate `axis`
+        seam[axis] = m - 1 if sign > 0 else 0
+        rolled[tuple(seam)] += sign * (g.Lx, g.Ly)[axis]
+        return rolled
 
     d_dx = (shifted(0, +1) - shifted(0, -1)) / (2.0 * hx)
     d_dy = (shifted(1, +1) - shifted(1, -1)) / (2.0 * hy)

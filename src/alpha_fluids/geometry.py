@@ -67,7 +67,7 @@ def _clean(f: SpectralField, rel: float = 1e-13) -> SpectralField:
 
 
 class _Factors(NamedTuple):
-    """Scalar factors stacked as coefficients (n, nx, ny) on one grid."""
+    """Scalar factors stacked as coefficients (n, nx, ny/2 + 1) on one grid."""
 
     grid: TorusGrid2D
     coeffs: np.ndarray
@@ -93,7 +93,7 @@ def _form(n_out: int, terms) -> _Form:
 
 
 def _exact_product(factors: _Factors, form: _Form) -> np.ndarray:
-    """Coefficients (n_out, nx, ny) of the bilinear forms of stacked scalar factors, alias-free.
+    """Coefficients (n_out, nx, ny/2 + 1) of the bilinear forms of stacked scalar factors, alias-free.
 
     Each factor is cleaned on its own and its spectral support tracked
     (support growth under every operation in this module keeps zeros exact);
@@ -131,7 +131,7 @@ def _exact_product(factors: _Factors, form: _Form) -> np.ndarray:
 def _jacobian(u: SpectralField) -> np.ndarray:
     """Stacked velocity gradient: entry 2i+m holds the coefficients of d_m u^i."""
     d = np.stack([derivative(u, "x").coeffs, derivative(u, "y").coeffs], axis=1)
-    return d.reshape((4,) + u.grid.shape)
+    return d.reshape((4,) + u.grid.coeff_shape)
 
 
 # advect: factors (x^0, x^1, d_x y^0, d_y y^0, d_x y^1, d_y y^1); out^i = x^m d_m y^i

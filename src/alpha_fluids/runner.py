@@ -9,10 +9,10 @@ byte-identical across reruns of the same (config, seed) in single-threaded
 mode; the manifest additionally records wall time, which is exempt.
 
 Exit status contract: 0 success; 1 bad input (a ValueError such as a CFL
-violation by the initial state), with one ``error:`` line on stderr; 2
-numerical abort (blow-up, a CFL number the run grows into, non-finite
-particles, a geometry product outgrowing its grid).  Failures leave an
-INCOMPLETE manifest with a reason.
+violation by the initial state, or an output directory that cannot be made),
+with one ``error:`` line on stderr; 2 numerical abort (blow-up, a CFL number
+the run grows into, non-finite particles, a geometry product outgrowing its
+grid).  Failures in an output directory leave an INCOMPLETE manifest.
 """
 
 from __future__ import annotations
@@ -507,11 +507,9 @@ _DRIVERS = {
 
 
 def _retain_freed_memory() -> None:
-    """Keep freed array memory in the process (glibc, Linux only).
-
-    A 128^2 RK4 step allocates and frees a few MB of temporaries, which glibc
-    by default mmaps or trims from the heap top, so every step faults them in
-    again: 18-20 ms per step against 10 ms on a 2-core x86-64 VM."""
+    """Keep freed array memory in the process (glibc, Linux only): glibc's defaults
+    mmap or trim a 128^2 RK4 step's few MB of temporaries, so every step faults
+    them in again, 6.6 against 5.1 ms per step on a 2-core x86-64 VM."""
     libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
     if hasattr(libc, "mallopt"):
         libc.mallopt(-3, 4 << 20)   # M_MMAP_THRESHOLD
@@ -521,7 +519,11 @@ def _retain_freed_memory() -> None:
 def run_experiment(cfg: RunConfig, outdir: str, seed: int = 0, threads: int = 1) -> int:
     """Run one experiment; artifacts land in outdir.  Returns the exit status."""
     _retain_freed_memory()
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:  # no directory, so no manifest: bad input
+        print(f"error: cannot create output directory {outdir}: {e.strerror}", file=sys.stderr)
+        return 1
     t0 = time.monotonic()
     try:
         if cfg.experiment == "visc-limit":

@@ -1,26 +1,26 @@
 """Spectral fields on the flat 2D torus.
 
-Real scalar/vector fields are stored as full complex Fourier coefficient
-arrays with Hermitian symmetry, coeffs[-k] = conj(coeffs[k]).  The forward
-transform divides by nx*ny so that coefficients coincide with analytic
-Fourier coefficients: a single mode cos(x) has coefficient 1/2 at k=(1,0)
-and k=(-1,0).
+A real field's Fourier coefficients are Hermitian, fhat(-k) = conj(fhat(k)),
+so a field stores the rfft2 half jy >= 0: coeffs has shape (nx, ny/2 + 1)
+for scalars and (2, nx, ny/2 + 1) for vectors.  The forward transform
+divides by nx*ny so that coefficients coincide with analytic Fourier
+coefficients: cos(x) has coefficient 1/2 at k=(1,0) and k=(-1,0).
 
 Conventions
 -----------
-* Coefficient arrays are indexed [jx, jy] (x along axis 0), numpy fft
-  ordering: j = 0, 1, ..., n/2-1, -n/2, ..., -1.
+* Coefficient arrays are indexed [jx, jy] (x along axis 0) in numpy fft
+  order, j = 0, 1, ..., n/2-1, -n/2, ..., -1; the stored columns are the
+  first ny/2 + 1, so the last is mode -ny/2 (grid.jy).  mode(f, jx, jy)
+  reads any mode; full_coeffs(f) is the full (nx, ny) array.
 * Wavenumbers are k = (2*pi/L) * j.
 * The Nyquist mode j = -n/2 is zeroed after every derivative (its odd
   derivative is not representable).
-* Discrete Parseval with this normalization: mean(f^2) = sum_k |fhat(k)|^2,
-  i.e. (1/S) * integral(f^2) = sum |fhat|^2 with S = Lx*Ly.
-* Transforms are real-to-complex (scipy.fft rfft2/irfft2).  to_spectral
-  fills the jy < 0 half by conjugate mirror and symmetrizes the two
-  self-conjugate columns jy = 0 and jy = ny/2, so its output is exactly
-  Hermitian by construction; real linear combinations and the i*k and |k|^2
-  multipliers keep it so.  to_physical reads only the jy >= 0 half, so a
-  non-Hermitian array is not valid input to it.
+* Discrete Parseval with this normalization: mean(f^2) = sum_k |fhat(k)|^2
+  over the full spectrum, i.e. (1/S) * integral(f^2) = sum |fhat|^2.
+* Transforms are scipy.fft rfft2/irfft2.  to_spectral symmetrizes the
+  self-conjugate columns jy = 0 and ny/2, c[jx] = conj(c[-jx]), so its
+  output is exactly Hermitian; real linear combinations and the i*k and
+  |k|^2 multipliers keep it so.  hermitianize acts on those columns only.
 
 Fields are immutable values; all operations return new fields.  Results of
 this module's operations own fresh read-only arrays; the public constructor
@@ -52,10 +52,11 @@ class TorusGrid2D:
         self.ny = int(ny)
         self.Lx = float(Lx)
         self.Ly = float(Ly)
-        # integer mode numbers in fft ordering
+        self.coeff_shape = (self.nx, self.ny // 2 + 1)  # a scalar's stored half jy >= 0
+        # integer mode numbers of the stored rows and columns (fft ordering)
         self.jx = np.fft.fftfreq(nx, d=1.0 / nx).astype(np.int64)
-        self.jy = np.fft.fftfreq(ny, d=1.0 / ny).astype(np.int64)
-        # radian wavenumbers, broadcastable to (nx, ny)
+        self.jy = np.fft.fftfreq(ny, d=1.0 / ny).astype(np.int64)[: ny // 2 + 1]
+        # radian wavenumbers, broadcastable to the coefficient shape (nx, ny/2 + 1)
         self.kx = (TWO_PI / self.Lx) * self.jx[:, None].astype(float)
         self.ky = (TWO_PI / self.Ly) * self.jy[None, :].astype(float)
         self.k_sq = self.kx**2 + self.ky**2
@@ -113,9 +114,10 @@ class AlphaParam:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a real field; rank 'scalar' or 'vector'.
+    """Fourier coefficients of a real scalar or vector field, jy >= 0 half.
 
-    coeffs shape is (nx, ny) for scalars and (2, nx, ny) for vectors.
+    coeffs shape is grid.coeff_shape = (nx, ny/2 + 1) for scalars and
+    (2, nx, ny/2 + 1) for vectors.
     """
 
     grid: TorusGrid2D
@@ -123,8 +125,8 @@ class SpectralField:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape not in ((self.grid.nx, self.grid.ny), (2, self.grid.nx, self.grid.ny)):
-            raise ValueError(f"coefficient shape {c.shape} does not match grid {self.grid.shape}")
+        if c.shape not in (self.grid.coeff_shape, (2,) + self.grid.coeff_shape):
+            raise ValueError(f"coefficient shape {c.shape} does not match grid half {self.grid.coeff_shape}")
         if not c.flags.owndata or c.flags.writeable:
             c = c.copy()
         c.flags.writeable = False
@@ -142,10 +144,6 @@ class SpectralField:
         object.__setattr__(f, "grid", grid)
         object.__setattr__(f, "coeffs", coeffs)
         return f
-
-    @property
-    def rank(self) -> str:
-        return "vector" if self.coeffs.ndim == 3 else "scalar"
 
     @property
     def is_vector(self) -> bool:
@@ -181,7 +179,7 @@ class SpectralField:
 
 
 def zero_field(grid: TorusGrid2D, rank: str = "scalar") -> SpectralField:
-    shape = (grid.nx, grid.ny) if rank == "scalar" else (2, grid.nx, grid.ny)
+    shape = grid.coeff_shape if rank == "scalar" else (2,) + grid.coeff_shape
     return SpectralField(grid, np.zeros(shape, dtype=np.complex128))
 
 
@@ -189,62 +187,49 @@ def zero_field(grid: TorusGrid2D, rank: str = "scalar") -> SpectralField:
 
 
 def to_spectral(grid: TorusGrid2D, samples: np.ndarray) -> SpectralField:
-    """Forward transform of real samples, (nx,ny) or (2,nx,ny); divides by nx*ny.
-
-    The output is exactly Hermitian: the jy < 0 half is the conjugate mirror
-    of the real transform's half, and the columns jy = 0 and jy = ny/2, each
-    its own mirror, are symmetrized.
-    """
+    """Forward transform of real samples, (nx,ny) or (2,nx,ny); divides by nx*ny; exactly Hermitian."""
     s = np.asarray(samples, dtype=float)
-    if s.shape not in ((grid.nx, grid.ny), (2, grid.nx, grid.ny)):
+    if s.shape not in (grid.shape, (2,) + grid.shape):
         raise ValueError(f"sample shape {s.shape} does not match grid {grid.shape}")
     return SpectralField._adopt(grid, to_spectral_padded(grid, s))
 
 
-def to_spectral_padded(grid: TorusGrid2D, samples: np.ndarray) -> np.ndarray:
-    """Coefficients on grid's (nx, ny) band of real samples (..., mx, my), mx >= nx, my >= ny.
+def _symmetrize_ends(grid: TorusGrid2D, c: np.ndarray) -> np.ndarray:
+    """c with the self-conjugate columns jy = 0, ny/2 set to (c[jx] + conj(c[-jx]))/2 in place."""
+    ends = c[..., :: grid.ny // 2]
+    ends[...] = 0.5 * (ends + np.conj(ends[..., -grid.jx, :]))
+    return c
 
-    Keeps the rfft2 half's rows jx and columns 0 <= jy <= ny/2, fills the
-    jy < 0 half by conjugate mirror and symmetrizes the self-conjugate columns
-    jy = 0 and ny/2, so the result is exactly Hermitian on the (nx, ny) grid.
-    On a padded axis column ny/2 holds the mean of modes +-ny/2 (off the row
-    jx = -nx/2, whose mirror is taken on the small grid).
+
+def to_spectral_padded(grid: TorusGrid2D, samples: np.ndarray) -> np.ndarray:
+    """Coefficients on grid's band of real samples (..., mx, my), mx >= nx, my >= ny.
+
+    The rfft2 half's rows jx and columns 0 <= jy <= ny/2, with the columns
+    jy = 0 and ny/2 symmetrized.  On a padded axis column ny/2 holds the mean
+    of modes +-ny/2 (off the row jx = -nx/2, whose mirror is taken on the
+    small grid).
     """
     mx, my = samples.shape[-2:]
     if mx < grid.nx or my < grid.ny:
         raise ValueError(f"sample grid {(mx, my)} is smaller than {grid.shape}")
-    h = grid.ny // 2
-    half = scipy.fft.rfft2(samples, norm="forward")
+    c = scipy.fft.rfft2(samples, norm="forward")
     if (mx, my) != grid.shape:
-        half = half[..., grid.jx % mx, : h + 1]
-    c = np.empty(samples.shape[:-2] + grid.shape, dtype=np.complex128)
-    c[..., : h + 1] = half
-    # c[jx, -jy] = conj(c[-jx, jy]) for 0 < jy < ny/2; -jx is row 0 for jx = 0, else row nx - jx
-    np.conjugate(half[..., 0, h - 1 : 0 : -1], out=c[..., 0, h + 1 :])
-    np.conjugate(half[..., :0:-1, h - 1 : 0 : -1], out=c[..., 1:, h + 1 :])
-    # the columns jy = 0 and ny/2 are their own mirrors (index -jx wraps to row -jx mod nx)
-    ends = half[..., [0, h]]
-    c[..., [0, h]] = 0.5 * (ends + np.conj(ends[..., -grid.jx, :]))
-    return c
+        c = c[..., grid.jx % mx, : grid.ny // 2 + 1]
+    return _symmetrize_ends(grid, c)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Inverse transform to real samples; reads only the jy >= 0 half of f.coeffs."""
-    g = f.grid
-    return scipy.fft.irfft2(f.coeffs[..., : g.ny // 2 + 1], s=g.shape, norm="forward")
+    """Inverse transform to real samples (nx, ny) or (2, nx, ny)."""
+    return scipy.fft.irfft2(f.coeffs, s=f.grid.shape, norm="forward")
 
 
 def to_physical_padded(f: SpectralField, shape: tuple[int, int]) -> np.ndarray:
     """Samples of f on a finer mx x my grid (exact band-limited interpolation).
 
     f may also be a stack of fields: anything with a grid and coeffs of shape
-    (..., nx, ny); the samples then have shape (..., mx, my).
-
-    Equals the real part of the inverse transform of the zero-padded full
-    spectrum with each Nyquist mode j = -n/2 at index -n/2 of the larger grid,
-    computed as irfft2 of the Hermitian part's jy >= 0 half.  That half holds
-    (c[k] + conj(c[-k]))/2 over the small band, so a Nyquist row or column
-    counts half at -n/2 and half, mirrored, at +n/2.
+    (..., nx, ny/2 + 1); the samples then have shape (..., mx, my).  This is
+    irfft2 of the Hermitian part (c[k] + conj(c[-k]))/2 zero-padded, so a
+    Nyquist row or column counts half at -n/2 and half, mirrored, at +n/2.
     """
     g = f.grid
     mx, my = shape
@@ -252,17 +237,37 @@ def to_physical_padded(f: SpectralField, shape: tuple[int, int]) -> np.ndarray:
         raise ValueError(f"padded grid {shape} is smaller than {g.shape}")
     c = f.coeffs
     h = g.ny // 2
-    rows = g.jx % mx  # row of mode jx on the larger grid
-    mirror_rows = -g.jx % mx  # row of mode -jx
+    mirror_rows = -g.jx % mx  # row of mode -jx on the larger grid
     half = np.zeros(c.shape[:-2] + (mx, my // 2 + 1), dtype=np.complex128)
-    half[..., rows, :h] = c[..., :h]
+    half[..., g.jx % mx, :h] = c[..., :h]
     if my == g.ny:  # mode -ny/2 is +ny/2 on an unpadded axis
-        half[..., rows, h] = c[..., h]
-    # the mirror term conj(c[-k]) at k = (jx, jy), 0 <= jy <= ny/2
-    half[..., mirror_rows, 0] += np.conj(c[..., 0])
-    half[..., mirror_rows, 1 : h + 1] += np.conj(c[..., : h - 1 : -1])
+        half[..., g.jx % mx, h] = c[..., h]
+    # the mirror term conj(c[-k]) at k = (jx, jy): c[-jx, jy] inside the half,
+    # conj(c[jx, jy]) on the columns jy = 0 and ny/2, which are their own mirrors
+    half[..., mirror_rows, 1:h] += c[..., -g.jx, 1:h]
+    half[..., mirror_rows, : h + 1 : h] += np.conj(c[..., :: h])
     half *= 0.5
     return scipy.fft.irfft2(half, s=(mx, my), norm="forward")
+
+
+def full_coeffs(f: SpectralField) -> np.ndarray:
+    """f's full (..., nx, ny) coefficients in fft ordering: c[jx, -jy] = conj(c[-jx, jy]) + 0.0."""
+    return _mirror(f.grid, f.coeffs)
+
+
+def sum_modes(grid: TorusGrid2D, a: np.ndarray) -> float:
+    """Sum over all nx*ny modes of a real quantity a stored like coefficients, in full-layout order."""
+    return float(np.sum(_mirror(grid, a)))
+
+
+def _mirror(grid: TorusGrid2D, half: np.ndarray) -> np.ndarray:
+    h = grid.ny // 2
+    c = np.empty(half.shape[:-1] + (grid.ny,), dtype=half.dtype)
+    c[..., : h + 1] = half
+    np.conjugate(half[..., 0, h - 1 : 0 : -1], out=c[..., 0, h + 1 :])  # -jx is row 0 for jx = 0,
+    np.conjugate(half[..., :0:-1, h - 1 : 0 : -1], out=c[..., 1:, h + 1 :])  # else row nx - jx
+    c[..., h + 1 :] += 0.0  # a zero is +0.0, as dealiasing writes it (checkpoint bytes)
+    return c
 
 
 # -- differentiation -----------------------------------------------------------
@@ -270,12 +275,6 @@ def to_physical_padded(f: SpectralField, shape: tuple[int, int]) -> np.ndarray:
 _SCALAR_TO_SCALAR = ("x", "y", "laplacian")
 _SCALAR_TO_VECTOR = ("gradient", "perp_gradient")
 _VECTOR_TO_SCALAR = ("divergence", "curl")
-
-
-def _zero_nyquist(grid: TorusGrid2D, c: np.ndarray) -> np.ndarray:
-    c[..., grid.nx // 2, :] = 0.0
-    c[..., :, grid.ny // 2] = 0.0
-    return c
 
 
 def derivative(f: SpectralField, op: str) -> SpectralField:
@@ -314,7 +313,9 @@ def derivative(f: SpectralField, op: str) -> SpectralField:
             out = 1j * g.kx * c[1] - 1j * g.ky * c[0]
     else:
         raise ValueError(f"unknown derivative op {op!r}")
-    return SpectralField._adopt(g, _zero_nyquist(g, out))
+    out[..., g.nx // 2, :] = 0.0  # the Nyquist row and column
+    out[..., g.ny // 2] = 0.0
+    return SpectralField._adopt(g, out)
 
 
 def grad_components(u: SpectralField) -> np.ndarray:
@@ -385,8 +386,7 @@ def inner_product_alpha(
     g = u.grid
     if method == "fourier":
         w = 1.0 + alpha.alpha_sq * g.k_sq
-        acc = np.sum(w * (u.coeffs * np.conj(v.coeffs)).real)
-        return float(g.area * acc)
+        return g.area * sum_modes(g, w * (u.coeffs * np.conj(v.coeffs)).real)
     if method != "deformation":
         raise ValueError(f"unknown method {method!r}")
     # Def-tensor quadrature on the doubled grid: exact for band-limited inputs
@@ -413,22 +413,18 @@ def norm_alpha(u: SpectralField, alpha: AlphaParam) -> float:
 def norm_hs(f: SpectralField, s: float) -> float:
     """Sobolev H^s norm, (S * sum (1+|k|^2)^s |fhat|^2)^(1/2), summed over components."""
     w = (1.0 + f.grid.k_sq) ** s
-    acc = np.sum(w * np.abs(f.coeffs) ** 2)
-    return math.sqrt(f.grid.area * float(acc))
+    return math.sqrt(f.grid.area * sum_modes(f.grid, w * np.abs(f.coeffs) ** 2))
 
 
 def hermitian_asymmetry(f: SpectralField) -> float:
-    """max |coeffs(k) - conj(coeffs(-k))|; 0 for coefficients of a real field."""
-    c = f.coeffs
-    flipped = np.roll(c[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))
-    return float(np.abs(c - np.conj(flipped)).max())
+    """max |coeffs(k) - conj(coeffs(-k))| on the self-conjugate columns jy = 0, ny/2; 0 for a real field."""
+    ends = f.coeffs[..., :: f.grid.ny // 2]
+    return float(np.abs(ends - np.conj(ends[..., -f.grid.jx, :])).max())
 
 
 def hermitianize(f: SpectralField) -> SpectralField:
-    """Project onto Hermitian-symmetric (real-field) coefficients."""
-    c = f.coeffs
-    flipped = np.roll(c[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))
-    return SpectralField._adopt(f.grid, 0.5 * (c + np.conj(flipped)))
+    """Project onto real-field coefficients: symmetrize the self-conjugate columns jy = 0, ny/2."""
+    return SpectralField._adopt(f.grid, _symmetrize_ends(f.grid, f.coeffs.copy()))
 
 
 # -- constructors for tests and initial data ------------------------------------
@@ -442,19 +438,22 @@ def cosine_field(grid: TorusGrid2D, k: tuple[int, int], amplitude: float = 1.0, 
     return to_spectral(grid, amplitude * np.cos(kx * X + ky * Y + phase))
 
 
-def field_from_modes(grid: TorusGrid2D, modes: dict, rank: str = "scalar") -> SpectralField:
-    """Build a field from {(jx,jy): coefficient}; input must be Hermitian-consistent."""
-    f = zero_field(grid, rank)
-    c = f.coeffs.copy()
-    c.flags.writeable = True
-    for (jx, jy), val in modes.items():
-        c[..., jx % grid.nx, jy % grid.ny] = val
-    out = SpectralField(grid, c)
-    if hermitian_asymmetry(out) > 1e-12 * (1.0 + np.abs(c).max()):
-        raise ValueError("mode table is not Hermitian-symmetric (field would be complex)")
-    return out
+def field_from_modes(grid: TorusGrid2D, modes: dict) -> SpectralField:
+    """Scalar field from {(jx,jy): coefficient}; each mode's conjugate partner must be in the table."""
+    table = {(jx % grid.nx, jy % grid.ny): val for (jx, jy), val in modes.items()}
+    tol = 1e-12 * (1.0 + max(map(abs, table.values()), default=0.0))
+    c = zero_field(grid).coeffs.copy()
+    for (jx, jy), val in table.items():
+        if abs(table.get((-jx % grid.nx, -jy % grid.ny), 0.0) - np.conj(val)) > tol:
+            raise ValueError("mode table is not Hermitian-symmetric (field would be complex)")
+        if jy <= grid.ny // 2:
+            c[jx, jy] = val
+    return SpectralField(grid, c)
 
 
 def mode(f: SpectralField, jx: int, jy: int):
-    """Coefficient at integer wavevector (jx, jy); (2,) array for vector fields."""
-    return f.coeffs[..., jx % f.grid.nx, jy % f.grid.ny]
+    """Coefficient at integer wavevector (jx, jy), (2,) for vectors; -ny/2 < jy < 0 reads conj of (-jx, -jy)."""
+    g = f.grid
+    if jy % g.ny <= g.ny // 2:
+        return f.coeffs[..., jx % g.nx, jy % g.ny]
+    return np.conj(f.coeffs[..., -jx % g.nx, -jy % g.ny])

@@ -119,3 +119,18 @@ def test_non_finite_payload(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="non-finite"):
         read_checkpoint(path)
+
+
+def test_payload_that_is_not_a_conjugate_mirror(tmp_path):
+    """A jy < 0 coefficient that differs from conj of its mirror has no place in the stored half."""
+    path = tmp_path / "mirror.ckpt"
+    st = sample_state()
+    write_checkpoint(st, path)
+    raw = bytearray(path.read_bytes())
+    ny = st.grid.ny
+    offset = 84 + 16 * (1 * ny + ny - 1)  # q at (jx, jy) = (1, -1), real part
+    (re,) = struct.unpack_from("<d", raw, offset)
+    struct.pack_into("<d", raw, offset, re + 1e-3)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="payload: the jy < 0 half of q is not the conjugate mirror"):
+        read_checkpoint(path)

@@ -83,6 +83,47 @@ class TestCli:
         assert main(["simulate2d", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
 
+class TestInputErrors:
+    """Bad paths and seeds end in exit 1 with one error line, not a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["simulate2d", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        self.assert_one_error_line(capsys)
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(SMALL_2D.encode() + b"# caf\xe9\n")
+        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        self.assert_one_error_line(capsys)
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_2D)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(blocker / "out")]) == 1
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("seed_args, seed_line", [
+        (["--seed", "-1"], "seed = 11"),
+        (["--seed", str(2**64)], "seed = 11"),
+        (["--seed", str(2**64 + 1)], "seed = 11"),
+        ([], f"seed = {2**64}"),
+    ])
+    def test_seed_outside_u64(self, tmp_path, capsys, seed_args, seed_line):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_2D.replace("seed = 11", seed_line))
+        out = tmp_path / "o"
+        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(out), *seed_args]) == 1
+        self.assert_one_error_line(capsys)
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(SMALL_2D)

@@ -26,6 +26,7 @@ from alpha_fluids.spectral import (
     cosine_field,
     dealias_two_thirds,
     derivative,
+    full_coeffs,
     hermitian_asymmetry,
     inner_product_alpha,
     make_grid,
@@ -58,7 +59,7 @@ def random_state(grid, a, seed=0, amplitude=0.05, mean_velocity=(0.3, -0.1)):
 
 
 def constant_velocity(grid, mean_velocity):
-    c = np.zeros((2, *grid.shape), dtype=complex)
+    c = np.zeros((2, *grid.coeff_shape), dtype=complex)
     c[:, 0, 0] = mean_velocity
     return SpectralField(grid, c)
 
@@ -112,7 +113,7 @@ class TestVelocityFromQ:
 
     def test_nonzero_mean_q_rejected(self):
         g = make_grid(16, 16)
-        bad = cosine_field(g, (0, 1)) + SpectralField(g, np.full((16, 16), 0.5, dtype=complex))
+        bad = cosine_field(g, (0, 1)) + SpectralField(g, np.full(g.coeff_shape, 0.5, dtype=complex))
         with pytest.raises(ValueError):
             VorticityState(bad, AlphaParam(0.1))
 
@@ -197,8 +198,10 @@ class TestStepRk4:
         new = random_state(g, 0.3)
         for _ in range(20):
             new = step_rk4(new, 1e-3, mode)
-        monkeypatch.setattr(dynamics, "to_spectral", lambda grid, s: SpectralField(grid, complex_to_spectral(grid, s)))
-        monkeypatch.setattr(dynamics, "to_physical", lambda f: complex_to_physical(f.grid, f.coeffs))
+        monkeypatch.setattr(
+            dynamics, "to_spectral", lambda grid, s: SpectralField(grid, complex_to_spectral(grid, s)[..., : grid.ny // 2 + 1])
+        )
+        monkeypatch.setattr(dynamics, "to_physical", lambda f: complex_to_physical(f.grid, full_coeffs(f)))
         monkeypatch.setattr(
             VorticityState, "with_q", lambda self, q, t: VorticityState(q, self.alpha, t, self.mean_velocity)
         )

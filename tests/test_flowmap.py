@@ -25,7 +25,7 @@ from alpha_fluids.spectral import (
     SpectralField,
     cosine_field,
     derivative,
-    hermitianize,
+    full_coeffs,
     make_grid,
     to_physical,
     to_spectral,
@@ -55,7 +55,8 @@ def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (P, 2)")
     g = f.grid
-    c = f.coeffs if f.is_vector else f.coeffs[None, :, :]
+    c = full_coeffs(f) if f.is_vector else full_coeffs(f)[None, :, :]
+    ky = (2 * np.pi / g.Ly) * np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(np.int64)[None, :].astype(float)
     mags = np.abs(c).max(axis=0)
     scale = mags.max()
     if scale == 0.0:
@@ -65,7 +66,7 @@ def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray
     keep_x = mags.max(axis=1) > thr
     keep_y = mags.max(axis=0) > thr
     kxs = g.kx[keep_x, 0]
-    kys = g.ky[0, keep_y]
+    kys = ky[0, keep_y]
     sub = c[:, keep_x][:, :, keep_y]                      # (r, Kx, Ky)
     ex = np.exp(1j * np.outer(pts[:, 0], kxs))            # (P, Kx)
     ey = np.exp(1j * np.outer(pts[:, 1], kys))            # (P, Ky)
@@ -75,12 +76,18 @@ def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray
 
 
 def band_limited_field(grid, kmax, vector, rng, hermitian=True):
-    """Random coefficients on |jx|, |jy| <= kmax (kmax = n/2 keeps the Nyquist modes)."""
+    """Random coefficients on |jx|, |jy| <= kmax (kmax = n/2 keeps the Nyquist modes).
+
+    Drawn on the full (nx, ny) layout and, if hermitian, projected there as
+    (c[k] + conj(c[-k]))/2; the field stores the jy >= 0 half.
+    """
     shape = (2, grid.nx, grid.ny) if vector else grid.shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c *= (np.abs(grid.jx)[:, None] <= kmax) & (np.abs(grid.jy)[None, :] <= kmax)
-    f = SpectralField(grid, c)
-    return hermitianize(f) if hermitian else f
+    jy = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)
+    c *= (np.abs(grid.jx)[:, None] <= kmax) & (np.abs(jy)[None, :] <= kmax)
+    if hermitian:
+        c = 0.5 * (c + np.conj(np.roll(c[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))))
+    return SpectralField(grid, c[..., : grid.ny // 2 + 1])
 
 
 def assert_matches_oracle(f, pts):
@@ -138,7 +145,7 @@ class TestEvalFieldOracle:
     @pytest.mark.parametrize("vector", [False, True])
     def test_zero_field_and_empty_points(self, vector):
         g = make_grid(*GRIDS[1])
-        zero = SpectralField(g, np.zeros((2, *g.shape) if vector else g.shape))
+        zero = SpectralField(g, np.zeros((2, *g.coeff_shape) if vector else g.coeff_shape))
         live = band_limited_field(g, 4, vector, np.random.default_rng(11))
         pts = np.array([[0.3, 1.1], [4.0, 5.5]])
         for field, p in ((zero, pts), (zero, pts[:0]), (live, pts[:0])):

@@ -41,6 +41,7 @@ from alpha_fluids.spectral import (
     cosine_field,
     derivative,
     field_from_modes,
+    full_coeffs,
     inner_product_alpha,
     make_grid,
     mode,
@@ -116,17 +117,17 @@ def padded_complex_product(a: SpectralField, b: SpectralField) -> np.ndarray:
         big[np.ix_(ix, iy)] = c
         return np.fft.ifft2(big * (nx2 * ny2)).real
 
-    pa, pb = pad(a.coeffs), pad(b.coeffs)
+    pa, pb = pad(full_coeffs(a)), pad(full_coeffs(b))
     prod = np.fft.fft2(pa * pb) / (nx2 * ny2)
     floor = 1e-13 * float(np.abs(pa).max()) * float(np.abs(pb).max())
     prod = np.where(np.abs(prod) > floor, prod, 0.0)
-    return prod[np.ix_(ix, iy)]
+    return prod[np.ix_(ix, iy[: g.ny // 2 + 1])]
 
 
 def ref_advect(x, y):
     x, y = _clean(x), _clean(y)
     g = x.grid
-    out = np.empty((2, g.nx, g.ny), dtype=np.complex128)
+    out = np.empty((2, *g.coeff_shape), dtype=np.complex128)
     for i in range(2):
         yi = y.component(i)
         out[i] = (
@@ -142,10 +143,10 @@ def ref_calU(u, alpha):
     if alpha.alpha == 0.0:
         return zero_field(g, "vector")
     d = [[derivative(u.component(i), ax) for ax in ("x", "y")] for i in range(2)]
-    T = np.empty((2, 2, g.nx, g.ny), dtype=np.complex128)
+    T = np.empty((2, 2, *g.coeff_shape), dtype=np.complex128)
     for i in range(2):
         for j in range(2):
-            acc = np.zeros((g.nx, g.ny), dtype=np.complex128)
+            acc = np.zeros(g.coeff_shape, dtype=np.complex128)
             for m in range(2):
                 acc += padded_complex_product(d[i][m], d[j][m])
                 acc += padded_complex_product(d[i][m], d[m][j])
@@ -154,7 +155,7 @@ def ref_calU(u, alpha):
     kx, ky = g.kx, g.ky
     divT0 = 1j * kx * T[0, 0] + 1j * ky * T[0, 1]
     divT1 = 1j * kx * T[1, 0] + 1j * ky * T[1, 1]
-    tr = np.zeros((g.nx, g.ny), dtype=np.complex128)
+    tr = np.zeros(g.coeff_shape, dtype=np.complex128)
     for i in range(2):
         for m in range(2):
             tr += padded_complex_product(d[i][m], d[m][i])

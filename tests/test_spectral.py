@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from alpha_fluids.spectral import (
     derivative,
     divergence_defect,
     field_from_modes,
+    full_coeffs,
     hermitian_asymmetry,
     inner_product_alpha,
     make_grid,
@@ -55,6 +57,38 @@ def complex_padded_samples(grid, coeffs, shape):
     iy = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny).astype(int)
     big[..., ix[:, None], iy[None, :]] = coeffs
     return np.fft.ifft2(big * (shape[0] * shape[1]), axes=(-2, -1)).real
+
+
+# -- the full (nx, ny) layout that preceded the rfft2 half: bitwise test oracles --
+
+
+def full_layout_to_spectral(grid, samples):
+    """rfft2, the jy < 0 half filled by conjugate mirror, the columns jy = 0, ny/2 symmetrized."""
+    h = grid.ny // 2
+    half = scipy.fft.rfft2(samples, norm="forward")
+    c = np.empty(samples.shape[:-2] + grid.shape, dtype=np.complex128)
+    c[..., : h + 1] = half
+    np.conjugate(half[..., 0, h - 1 : 0 : -1], out=c[..., 0, h + 1 :])
+    np.conjugate(half[..., :0:-1, h - 1 : 0 : -1], out=c[..., 1:, h + 1 :])
+    ends = half[..., [0, h]]
+    c[..., [0, h]] = 0.5 * (ends + np.conj(ends[..., -grid.jx, :]))
+    return c
+
+
+def full_layout_padded_samples(grid, c, shape):
+    """irfft2 of the Hermitian part's jy >= 0 half, (c[k] + conj(c[-k]))/2, of full coefficients c."""
+    mx, my = shape
+    h = grid.ny // 2
+    rows = grid.jx % mx
+    mirror_rows = -grid.jx % mx
+    half = np.zeros(c.shape[:-2] + (mx, my // 2 + 1), dtype=np.complex128)
+    half[..., rows, :h] = c[..., :h]
+    if my == grid.ny:
+        half[..., rows, h] = c[..., h]
+    half[..., mirror_rows, 0] += np.conj(c[..., 0])
+    half[..., mirror_rows, 1 : h + 1] += np.conj(c[..., : h - 1 : -1])
+    half *= 0.5
+    return scipy.fft.irfft2(half, s=(mx, my), norm="forward")
 
 
 def rel_err(out, ref):
@@ -108,14 +142,14 @@ class TestTransform:
         f = cosine_field(g, (1, 0))
         assert mode(f, 1, 0) == pytest.approx(0.5, abs=1e-14)
         assert mode(f, -1, 0) == pytest.approx(0.5, abs=1e-14)
-        others = np.abs(f.coeffs).sum() - abs(mode(f, 1, 0)) - abs(mode(f, -1, 0))
+        others = np.abs(full_coeffs(f)).sum() - abs(mode(f, 1, 0)) - abs(mode(f, -1, 0))
         assert others < 1e-12
 
     def test_constant_field(self):
         g = make_grid(16, 16)
         f = to_spectral(g, np.full((16, 16), 3.25))
         assert mode(f, 0, 0) == pytest.approx(3.25)
-        assert np.abs(f.coeffs).sum() == pytest.approx(3.25, abs=1e-12)
+        assert np.abs(full_coeffs(f)).sum() == pytest.approx(3.25, abs=1e-12)
 
     def test_round_trip(self):
         g = make_grid(64, 64)
@@ -130,7 +164,7 @@ class TestTransform:
         s = rng.standard_normal((n, n))
         f = to_spectral(g, s)
         lhs = (s**2).mean()  # (1/S) * integral on the 2*pi torus
-        rhs = np.sum(np.abs(f.coeffs) ** 2)
+        rhs = np.sum(np.abs(full_coeffs(f)) ** 2)
         assert abs(lhs - rhs) / lhs < 1e-12
 
     def test_size_mismatch(self):
@@ -151,7 +185,7 @@ class TestRealTransformOracle:
     def test_forward_matches_complex_transform(self, nx, ny, Lx, Ly, rank):
         g = make_grid(nx, ny, Lx, Ly)
         s = self.samples(g, rank)
-        assert rel_err(to_spectral(g, s).coeffs, complex_to_spectral(g, s)) <= 1e-14
+        assert rel_err(full_coeffs(to_spectral(g, s)), complex_to_spectral(g, s)) <= 1e-14
 
     def test_forward_output_exactly_hermitian(self, nx, ny, Lx, Ly, rank):
         g = make_grid(nx, ny, Lx, Ly)
@@ -160,7 +194,12 @@ class TestRealTransformOracle:
     def test_inverse_matches_complex_transform(self, nx, ny, Lx, Ly, rank):
         g = make_grid(nx, ny, Lx, Ly)
         f = to_spectral(g, self.samples(g, rank))
-        assert rel_err(to_physical(f), complex_to_physical(g, f.coeffs)) <= 1e-14
+        assert rel_err(to_physical(f), complex_to_physical(g, full_coeffs(f))) <= 1e-14
+
+    def test_forward_matches_full_layout_bitwise(self, nx, ny, Lx, Ly, rank):
+        g = make_grid(nx, ny, Lx, Ly)
+        s = self.samples(g, rank)
+        assert np.array_equal(full_coeffs(to_spectral(g, s)), full_layout_to_spectral(g, s))
 
 
 PADDED_SHAPES = {
@@ -180,17 +219,18 @@ def test_padded_inverse_matches_complex_pad(nx, ny, Lx, Ly, rank, pad):
     shape = PADDED_SHAPES[pad](g)
     f = random_real(g, seed=nx, rank=rank)
     assert np.abs(f.coeffs[..., nx // 2, :]).min() > 0.0 and np.abs(f.coeffs[..., ny // 2]).min() > 0.0
-    ref = complex_padded_samples(g, f.coeffs, shape)
+    ref = complex_padded_samples(g, full_coeffs(f), shape)
     assert rel_err(to_physical_padded(f, shape), ref) <= 1e-14
+    assert np.array_equal(to_physical_padded(f, shape), full_layout_padded_samples(g, full_coeffs(f), shape))
 
 
 def test_padded_inverse_of_general_coefficients():
-    """Non-Hermitian input: still the real part of the padded inverse."""
+    """Columns jy = 0, ny/2 not self-conjugate: still the real part of the padded inverse."""
     g = make_grid(24, 40, 3.0, 7.5)
     rng = np.random.default_rng(3)
-    f = SpectralField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    f = SpectralField(g, rng.standard_normal(g.coeff_shape) + 1j * rng.standard_normal(g.coeff_shape))
     for shape in [(48, 80), (24, 46), (30, 40)]:
-        assert rel_err(to_physical_padded(f, shape), complex_padded_samples(g, f.coeffs, shape)) <= 1e-14
+        assert rel_err(to_physical_padded(f, shape), complex_padded_samples(g, full_coeffs(f), shape)) <= 1e-14
 
 
 def test_padded_inverse_rejects_smaller_grid():
@@ -266,12 +306,35 @@ class TestSpectralProperties:
         samples = np.random.default_rng(seed).standard_normal(shape)
         f = to_spectral(grid, samples)
         energy = np.sum(samples**2) / (grid.nx * grid.ny)
-        assert np.sum(np.abs(f.coeffs) ** 2) == pytest.approx(energy, rel=1e-13)
+        assert np.sum(np.abs(full_coeffs(f)) ** 2) == pytest.approx(energy, rel=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(grid=GRIDS, seed=SEEDS, rank=RANKS)
     def test_to_spectral_exactly_hermitian(self, grid, seed, rank):
         assert hermitian_asymmetry(random_real(grid, seed, rank)) == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS, rank=RANKS)
+    def test_mode_of_minus_k_is_the_conjugate(self, grid, seed, rank):
+        f = random_real(grid, seed, rank)
+        full = full_coeffs(f)
+        for jx in range(-grid.nx // 2, grid.nx // 2):
+            for jy in range(-grid.ny // 2, grid.ny // 2):
+                assert np.array_equal(mode(f, -jx, -jy), np.conj(mode(f, jx, jy)))
+                assert np.array_equal(mode(f, jx, jy), full[..., jx, jy])
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS, rank=RANKS)
+    def test_full_coeffs_exactly_hermitian(self, grid, seed, rank):
+        c = full_coeffs(random_real(grid, seed, rank))
+        c_minus_k = np.roll(c[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))
+        assert np.array_equal(c, np.conj(c_minus_k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS, rank=RANKS)
+    def test_round_trip_restores_band_limited_half(self, grid, seed, rank):
+        f = band_limited(grid, seed, rank)
+        assert rel_err(to_spectral(grid, to_physical(f)).coeffs, f.coeffs) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(grid=GRIDS, seed=SEEDS, op=st.sampled_from(["x", "y", "laplacian", "gradient", "perp_gradient"]))
@@ -388,7 +451,7 @@ class TestInnerProductAlpha:
     def test_alpha_zero_is_l2(self):
         g = make_grid(32, 32)
         u = random_stream(g, seed=7)
-        l2 = g.area * np.sum(np.abs(u.coeffs) ** 2)
+        l2 = g.area * np.sum(np.abs(full_coeffs(u)) ** 2)
         assert inner_product_alpha(u, u, AlphaParam(0.0)) == pytest.approx(l2, rel=1e-12)
 
     def test_fourier_vs_deformation_cross_check(self):
@@ -430,6 +493,13 @@ class TestHermitianSymmetry:
         ]
         for out in fields:
             assert hermitian_asymmetry(out) < 1e-14
+
+    def test_mode_table_places_each_mode(self):
+        g = make_grid(16, 12)
+        table = {(1, 2): 0.5 + 0.25j, (-1, -2): 0.5 - 0.25j, (3, 0): 1.0, (-3, 0): 1.0, (0, 6): 2.0}
+        f = field_from_modes(g, table)
+        assert all(mode(f, jx, jy) == val for (jx, jy), val in table.items())
+        assert np.count_nonzero(full_coeffs(f)) == len(table)
 
     def test_non_hermitian_mode_table_rejected(self):
         g = make_grid(16, 16)
@@ -478,7 +548,7 @@ class TestFieldValueSemantics:
 
     def test_public_constructor_copies_writeable_array(self):
         g = make_grid(16, 16)
-        a = np.zeros(g.shape, dtype=np.complex128)
+        a = np.zeros(g.coeff_shape, dtype=np.complex128)
         f = SpectralField(g, a)
         a[1, 1] = 1.0
         assert f.coeffs[1, 1] == 0.0 and a.flags.writeable
