@@ -11,23 +11,32 @@ Velocity is recovered by omega = (1 - alpha^2 Lap)^{-1} q, Lap psi = omega,
 u = perp_grad psi, with the mean (k = 0) velocity carried separately since q
 holds no mean-flow information.
 
+A right-hand side makes one transform pair: (u_x, u_y, dx q, dy q) go to the
+grid in one inverse transform, u . grad q comes back in one forward transform.
+Multipliers and the 2/3 mask are cached read-only per (grid, alpha^2), and
+every operation rounds as the field-by-field formulation did, bit for bit.
+
 The third-grade extension, whose cubic stress term has no compact vorticity
 form, is integrated in primitive (momentum) variables with Leray projection.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .helmholtz import helmholtz_apply, helmholtz_inverse, leray_project
 from .spectral import (
     AlphaParam,
+    FieldStack,
     SpectralField,
     TorusGrid2D,
+    _zero_nyquist,
     dealias_half,
     dealias_two_thirds,
     derivative,
@@ -37,6 +46,7 @@ from .spectral import (
     to_physical,
     to_physical_padded,
     to_spectral,
+    to_spectral_padded,
 )
 
 BLOWUP_LIMIT = 1e12
@@ -83,7 +93,7 @@ class DissipationMode:
 class VorticityState:
     """Potential vorticity q plus alpha, time, and the mean velocity.
 
-    Immutable value; derived omega, u and the physical u samples are computed
+    Immutable value; derived u and the physical u samples are computed
     lazily and cached on the instance.  q must have (numerically) zero mean: a
     nonzero mean vorticity is not the curl of any periodic velocity field.
     """
@@ -125,11 +135,6 @@ class VorticityState:
         new._from_solver = True
         return new
 
-    def omega(self) -> SpectralField:
-        if "omega" not in self._cache:
-            self._cache["omega"] = helmholtz_inverse(self.q, self.alpha)
-        return self._cache["omega"]
-
     def velocity(self) -> SpectralField:
         if "u" not in self._cache:
             self._cache["u"] = velocity_from_q(self.q, self.alpha, self.mean_velocity)
@@ -154,34 +159,79 @@ def state_from_velocity(u: SpectralField, alpha: AlphaParam) -> VorticityState:
     return VorticityState(q, alpha, 0.0, u.coeffs[:, 0, 0].real + 0.0)
 
 
+class _Tables(NamedTuple):
+    """Read-only multipliers of one grid and alpha^2 on the coefficient half; the real
+    ones are stored cast to complex, as numpy would cast them on every call."""
+
+    smooth: np.ndarray     # 1 + alpha^2 |k|^2
+    neg_ksq: np.ndarray    # -|k|^2 with -1 at k = 0
+    laplacian: np.ndarray  # -|k|^2
+    ikx: np.ndarray
+    iky: np.ndarray
+    neg_iky: np.ndarray
+    drop: np.ndarray       # the modes the 2/3 rule zeroes
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(g: TorusGrid2D, alpha_sq: float) -> _Tables:
+    keep = (np.abs(g.jx)[:, None] <= g.nx // 3) & (np.abs(g.jy)[None, :] <= g.ny // 3)
+    real = (1.0 + alpha_sq * g.k_sq, -np.where(g.k_sq > 0.0, g.k_sq, 1.0), -g.k_sq)
+    t = _Tables(*(a.astype(np.complex128) for a in real), 1j * g.kx, 1j * g.ky, -1j * g.ky, ~keep)
+    for a in t:
+        a.flags.writeable = False
+    return t
+
+
+def _gradient(out: np.ndarray, c: np.ndarray, t: _Tables) -> None:
+    """(dx c, dy c) into out[0], out[1], Nyquist zeroed; c holds one or more scalars' coefficients."""
+    np.multiply(t.ikx, c, out=out[0])
+    np.multiply(t.iky, c, out=out[1])
+    _zero_nyquist(out)
+
+
+def _invert(out: np.ndarray, q: np.ndarray, t: _Tables, mean_velocity) -> np.ndarray:
+    """u = perp_grad Lap^{-1} omega, omega = (1 - alpha^2 Lap)^{-1} q, into out (2, nx, ny/2 + 1); returns omega."""
+    omega = q / t.smooth
+    psi = np.divide(omega, t.neg_ksq, out=out[1])  # psi at k = 0 is unused: u's mean is set below
+    np.multiply(t.neg_iky, psi, out=out[0])
+    np.multiply(t.ikx, psi, out=out[1])
+    _zero_nyquist(out)
+    out[:, 0, 0] = mean_velocity
+    return omega
+
+
 def velocity_from_q(q: SpectralField, alpha: AlphaParam, mean_velocity=(0.0, 0.0)) -> SpectralField:
     """Invert q -> u: omega = (1-a^2 Lap)^{-1} q, Lap psi = omega, u = perp_grad psi."""
     g = q.grid
-    ksq = np.where(g.k_sq > 0.0, g.k_sq, 1.0)
-    psi_c = helmholtz_inverse(q, alpha).coeffs / -ksq
-    psi_c[0, 0] = 0.0
-    u = derivative(SpectralField._adopt(g, psi_c), "perp_gradient")
-    # u owns a fresh array that nothing else references yet: set its mean in place
-    u.coeffs.flags.writeable = True
-    u.coeffs[:, 0, 0] = mean_velocity
-    u.coeffs.flags.writeable = False
-    return u
-
-
-def _advection(up: np.ndarray, q: SpectralField) -> SpectralField:
-    """Dealiased pseudospectral u . grad q from physical velocity samples up."""
-    gqp = to_physical(derivative(q, "gradient"))
-    return dealias_two_thirds(to_spectral(q.grid, up[0] * gqp[0] + up[1] * gqp[1]))
+    u = np.empty((2,) + g.coeff_shape, dtype=np.complex128)
+    _invert(u, q.coeffs, _tables(g, alpha.alpha_sq), mean_velocity)
+    return SpectralField._adopt(g, u)
 
 
 def rhs_vorticity(state: VorticityState, mode: DissipationMode) -> SpectralField:
-    """dq/dt = -dealias(u . grad q) + {0 | nu Lap omega | nu Lap q}."""
-    out = -1.0 * _advection(state.velocity_samples(), state.q)
-    if mode.variant == "viscous":
-        out = out + mode.nu * derivative(state.omega(), "laplacian")
-    elif mode.variant == "strong":
-        out = out + mode.nu * derivative(state.q, "laplacian")
-    return out
+    """dq/dt = -dealias(u . grad q) + {0 | nu Lap omega | nu Lap q}.
+
+    One inverse transform of (u_x, u_y, dx q, dy q) and one forward transform
+    of the product; the velocity samples fill the state's cache.
+    """
+    g, q = state.grid, state.q.coeffs
+    t = _tables(g, state.alpha.alpha_sq)
+    stack = np.empty((4,) + g.coeff_shape, dtype=np.complex128)
+    omega = _invert(stack[:2], q, t, state.mean_velocity)
+    _gradient(stack[2:], q, t)
+    p = to_physical(FieldStack(g, stack))
+    state._cache["u_samples"] = p[:2]
+    prod = np.multiply(p[2], p[0], out=p[2])  # u . grad q in place of grad q
+    prod += np.multiply(p[3], p[1], out=p[3])
+    out = to_spectral_padded(g, prod)
+    np.copyto(out, 0.0, where=t.drop)
+    np.multiply(out, -1.0, out=out)
+    if mode.variant != "inviscid":
+        lap = t.laplacian * (omega if mode.variant == "viscous" else q)
+        _zero_nyquist(lap)
+        lap *= mode.nu
+        out += lap
+    return SpectralField._adopt(g, out)
 
 
 def _cfl_number(state: VorticityState, dt: float) -> float:
@@ -214,14 +264,26 @@ def step_rk4(state: VorticityState, dt: float, mode: DissipationMode, check_cfl:
             raise ValueError(message)
         if c > 0.5:
             warnings.warn(f"CFL number {c:.2f} > 0.5; accuracy degraded", stacklevel=2)
-    k2 = rhs_vorticity(state.with_q(q + 0.5 * dt * k1, t + 0.5 * dt), mode)
-    k3 = rhs_vorticity(state.with_q(q + 0.5 * dt * k2, t + 0.5 * dt), mode)
-    k4 = rhs_vorticity(state.with_q(q + dt * k3, t + dt), mode)
-    q_new = dealias_two_thirds(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    scale = np.abs(q_new.coeffs).max()
+
+    def stage(h: float, k: SpectralField) -> VorticityState:  # at t + h with q + h * k, rounded alike
+        s = k.coeffs * h
+        s += q.coeffs
+        return state.with_q(SpectralField._adopt(q.grid, s), t + h)
+
+    k2 = rhs_vorticity(stage(0.5 * dt, k1), mode)
+    k3 = rhs_vorticity(stage(0.5 * dt, k2), mode)
+    k4 = rhs_vorticity(stage(dt, k3), mode)
+    acc = k2.coeffs * 2.0  # q + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+    acc += k1.coeffs
+    acc += k3.coeffs * 2.0
+    acc += k4.coeffs
+    acc *= dt / 6.0
+    acc += q.coeffs
+    np.copyto(acc, 0.0, where=_tables(q.grid, state.alpha.alpha_sq).drop)
+    scale = np.abs(acc).max()
     if not np.isfinite(scale) or scale > BLOWUP_LIMIT:
         raise BlowUpError(t)
-    return state.with_q(q_new, t + dt)
+    return state.with_q(SpectralField._adopt(q.grid, acc), t + dt)
 
 
 def run(

@@ -90,6 +90,27 @@ def _fold(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.concatenate((hit, 1j * np.sign(j) * hit))
 
 
+def _folded(f: SpectralField):
+    """f's evaluator, points (P, 2) -> values: the field-only part of eval_field_at, done once."""
+    g = f.grid
+    c = full_coeffs(f).reshape(-1, g.nx, g.ny)
+    mags = np.abs(c).max(axis=0)
+    thr = _EVAL_TRUNCATION * mags.max()
+    jx = g.jx[mags.max(axis=1) > thr]
+    jy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(np.int64)[mags.max(axis=0) > thr]
+    ux, gx = _fold(jx)
+    uy, gy = _fold(jy)
+    folded = (gx @ c[:, jx][:, :, jy] @ gy.T).real        # (r, 2Ux, 2Uy)
+
+    def at(pts: np.ndarray) -> np.ndarray:
+        x = _trig_table(pts[:, 0], TWO_PI / g.Lx, ux)      # (2Ux, P)
+        y = _trig_table(pts[:, 1], TWO_PI / g.Ly, uy)      # (2Uy, P)
+        out = np.einsum("ip,rip->pr", x, folded @ y)
+        return out if f.is_vector else out[:, 0]
+
+    return at
+
+
 def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
     """Exact Fourier-sum evaluation of f at arbitrary points, (P,) or (P,2).
 
@@ -108,19 +129,7 @@ def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
         return np.zeros((0, 2) if f.is_vector else (0,))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (P, 2)")
-    g = f.grid
-    c = full_coeffs(f).reshape(-1, g.nx, g.ny)
-    mags = np.abs(c).max(axis=0)
-    thr = _EVAL_TRUNCATION * mags.max()
-    jx = g.jx[mags.max(axis=1) > thr]
-    jy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(np.int64)[mags.max(axis=0) > thr]
-    ux, gx = _fold(jx)
-    uy, gy = _fold(jy)
-    folded = (gx @ c[:, jx][:, :, jy] @ gy.T).real        # (r, 2Ux, 2Uy)
-    x = _trig_table(pts[:, 0], TWO_PI / g.Lx, ux)          # (2Ux, P)
-    y = _trig_table(pts[:, 1], TWO_PI / g.Ly, uy)          # (2Uy, P)
-    out = np.einsum("ip,rip->pr", x, folded @ y)
-    return out if f.is_vector else out[:, 0]
+    return _folded(f)(pts)
 
 
 # -- velocity sources -----------------------------------------------------------------
@@ -157,11 +166,11 @@ class SnapshotVelocity:
 
 
 def _rk4_particles(pos_flat: np.ndarray, source, t: float, dt: float) -> np.ndarray:
-    mid = source.at(t + 0.5 * dt)
-    u1 = eval_field_at(source.at(t), pos_flat)
-    u2 = eval_field_at(mid, pos_flat + 0.5 * dt * u1)
-    u3 = eval_field_at(mid, pos_flat + 0.5 * dt * u2)
-    u4 = eval_field_at(source.at(t + dt), pos_flat + dt * u3)
+    mid = _folded(source.at(t + 0.5 * dt))  # stages 2 and 3 share its fold
+    u1 = _folded(source.at(t))(pos_flat)
+    u2 = mid(pos_flat + 0.5 * dt * u1)
+    u3 = mid(pos_flat + 0.5 * dt * u2)
+    u4 = _folded(source.at(t + dt))(pos_flat + dt * u3)
     return pos_flat + (dt / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
 
 

@@ -22,10 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import state_from_velocity, velocity_from_q
+from .dynamics import _gradient, _invert, _tables, state_from_velocity, velocity_from_q
 from .helmholtz import helmholtz_inverse, leray_project
 from .spectral import (
     AlphaParam,
+    FieldStack,
     SpectralField,
     TorusGrid2D,
     cosine_field,
@@ -35,7 +36,6 @@ from .spectral import (
     norm_alpha,
     to_physical,
     to_physical_padded,
-    to_spectral,
     to_spectral_padded,
     zero_field,
 )
@@ -66,13 +66,6 @@ def _clean(f: SpectralField, rel: float = 1e-13) -> SpectralField:
     return SpectralField(f.grid, np.where(np.abs(c) > rel * scale, c, 0.0))
 
 
-class _Factors(NamedTuple):
-    """Scalar factors stacked as coefficients (n, nx, ny/2 + 1) on one grid."""
-
-    grid: TorusGrid2D
-    coeffs: np.ndarray
-
-
 class _Form(NamedTuple):
     """Bilinear forms out[o] = sum of c * f_a * f_b over terms (o, a, b, c), by distinct pair
     a <= b: weights[o, pair] sums the pair's c, counts[o, pair] its |c| (the floor's weights)."""
@@ -92,7 +85,7 @@ def _form(n_out: int, terms) -> _Form:
     return _Form(np.array(pairs), weights, counts)
 
 
-def _exact_product(factors: _Factors, form: _Form) -> np.ndarray:
+def _exact_product(factors: FieldStack, form: _Form) -> np.ndarray:
     """Coefficients (n_out, nx, ny/2 + 1) of the bilinear forms of stacked scalar factors, alias-free.
 
     Each factor is cleaned on its own and its spectral support tracked
@@ -120,7 +113,7 @@ def _exact_product(factors: _Factors, form: _Form) -> np.ndarray:
             f"product support ({sx[a[t]] + sx[b[t]]},{sy[a[t]] + sy[b[t]]}) exceeds the "
             f"{g.nx}x{g.ny} grid; rerun on a larger grid"
         )
-    p = to_physical_padded(_Factors(g, c), (2 * g.nx, 2 * g.ny))
+    p = to_physical_padded(FieldStack(g, c), (2 * g.nx, 2 * g.ny))
     out = np.tensordot(form.weights, p[a] * p[b], axes=1)
     peak = np.abs(p).max(axis=(1, 2))
     floor = 1e-13 * (form.counts @ (peak[a] * peak[b]))
@@ -159,7 +152,7 @@ _CALU_PAIR = _form(8, _calU_terms(0) + _calU_terms(4))
 
 def _advect(x: SpectralField, y: SpectralField) -> SpectralField:
     g = x.grid
-    out = _exact_product(_Factors(g, np.concatenate([x.coeffs, _jacobian(y)])), _ADVECT)
+    out = _exact_product(FieldStack(g, np.concatenate([x.coeffs, _jacobian(y)])), _ADVECT)
     return SpectralField._adopt(g, out)
 
 
@@ -194,14 +187,14 @@ def calU(u: SpectralField, alpha: AlphaParam) -> SpectralField:
     g = u.grid
     if alpha.alpha == 0.0:
         return zero_field(g, "vector")
-    S = _exact_product(_Factors(g, _jacobian(_clean(u))), _CALU)
+    S = _exact_product(FieldStack(g, _jacobian(_clean(u))), _CALU)
     return _smoothed_divergence(g, S, alpha)
 
 
 def _frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
     g = x.grid
     factors = np.concatenate([_jacobian(_clean(x + y)), _jacobian(_clean(x - y))])
-    S = _exact_product(_Factors(g, factors), _CALU_PAIR)
+    S = _exact_product(FieldStack(g, factors), _CALU_PAIR)
     return 0.25 * (_smoothed_divergence(g, S[:4], alpha) - _smoothed_divergence(g, S[4:], alpha))
 
 
@@ -371,29 +364,34 @@ class JacobiTrajectory:
 
 
 def _tangent_rhs(q, dq, w, alpha, mean_u):
-    """Time derivatives of (q, delta q, w) for the coupled linearized system."""
-    u = velocity_from_q(q, alpha, mean_u)
-    du = velocity_from_q(dq, alpha)
-    gq = derivative(q, "gradient")
-    gdq = derivative(dq, "gradient")
-    up, dup = to_physical(u), to_physical(du)
+    """Time derivatives of (q, delta q, w) for the coupled linearized system.
 
-    def dot_grad(a_phys, gb):
-        gb_p = to_physical(gb)
-        return a_phys[0] * gb_p[0] + a_phys[1] * gb_p[1]
-
+    One inverse transform takes u, delta u, grad q, grad delta q, grad u^i,
+    grad w^i and w to the grid; one forward transform brings back
+    -u.grad q, -(u.grad dq + du.grad q) and w_dot - delta u = (w.grad) u - (u.grad) w.
+    """
     g = q.grid
-    q_dot = dealias_two_thirds(to_spectral(g, -dot_grad(up, gq)))
-    dq_dot = dealias_two_thirds(to_spectral(g, -(dot_grad(up, gdq) + dot_grad(dup, gq))))
-    # w_dot = delta u + (w . grad) u - (u . grad) w
-    wp = to_physical(w)
-    adv = np.empty_like(wp)
-    gu = [to_physical(derivative(u.component(i), "gradient")) for i in range(2)]
-    gw = [to_physical(derivative(w.component(i), "gradient")) for i in range(2)]
+    t = _tables(g, alpha.alpha_sq)
+    s = np.empty((18,) + g.coeff_shape, dtype=np.complex128)
+    _invert(s[0:2], q.coeffs, t, mean_u)
+    _invert(s[2:4], dq.coeffs, t, (0.0, 0.0))
+    _gradient(s[4:6], q.coeffs, t)
+    _gradient(s[6:8], dq.coeffs, t)
+    _gradient(s[8:12].reshape((2, 2) + g.coeff_shape), s[0:2], t)  # d_m u^i at 8 + 2m + i
+    _gradient(s[12:16].reshape((2, 2) + g.coeff_shape), w.coeffs, t)
+    s[16:18] = w.coeffs
+    p = to_physical(FieldStack(g, s))
+    up, dup, gq, gdq, wp = p[0:2], p[2:4], p[4:6], p[6:8], p[16:18]
+    gu, gw = p[8:12].reshape(2, 2, g.nx, g.ny), p[12:16].reshape(2, 2, g.nx, g.ny)
+    out = np.empty((4,) + g.shape)
+    out[0] = -(up[0] * gq[0] + up[1] * gq[1])
+    out[1] = -((up[0] * gdq[0] + up[1] * gdq[1]) + (dup[0] * gq[0] + dup[1] * gq[1]))
     for i in range(2):
-        adv[i] = wp[0] * gu[i][0] + wp[1] * gu[i][1] - (up[0] * gw[i][0] + up[1] * gw[i][1])
-    w_dot = dealias_two_thirds(to_spectral(g, adv)) + du
-    return q_dot, dq_dot, w_dot
+        out[2 + i] = wp[0] * gu[0][i] + wp[1] * gu[1][i] - (up[0] * gw[0][i] + up[1] * gw[1][i])
+    c = to_spectral_padded(g, out)
+    np.copyto(c, 0.0, where=t.drop)
+    c[2:] += s[2:4]
+    return SpectralField._adopt(g, c[0]), SpectralField._adopt(g, c[1]), SpectralField._adopt(g, c[2:])
 
 
 def jacobi_evolve(

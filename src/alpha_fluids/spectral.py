@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -178,6 +179,14 @@ class SpectralField:
         return SpectralField._adopt(self.grid, -self.coeffs)
 
 
+class FieldStack(NamedTuple):
+    """Coefficients of scalar fields stacked as (n, nx, ny/2 + 1) on one grid;
+    to_physical and to_physical_padded transform the stack in one call."""
+
+    grid: TorusGrid2D
+    coeffs: np.ndarray
+
+
 def zero_field(grid: TorusGrid2D, rank: str = "scalar") -> SpectralField:
     shape = grid.coeff_shape if rank == "scalar" else (2,) + grid.coeff_shape
     return SpectralField(grid, np.zeros(shape, dtype=np.complex128))
@@ -219,15 +228,14 @@ def to_spectral_padded(grid: TorusGrid2D, samples: np.ndarray) -> np.ndarray:
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Inverse transform to real samples (nx, ny) or (2, nx, ny)."""
+    """Inverse transform to real samples (nx, ny) or (2, nx, ny); (n, nx, ny) for a FieldStack."""
     return scipy.fft.irfft2(f.coeffs, s=f.grid.shape, norm="forward")
 
 
 def to_physical_padded(f: SpectralField, shape: tuple[int, int]) -> np.ndarray:
     """Samples of f on a finer mx x my grid (exact band-limited interpolation).
 
-    f may also be a stack of fields: anything with a grid and coeffs of shape
-    (..., nx, ny/2 + 1); the samples then have shape (..., mx, my).  This is
+    f may also be a FieldStack; the samples then have shape (n, mx, my).  This is
     irfft2 of the Hermitian part (c[k] + conj(c[-k]))/2 zero-padded, so a
     Nyquist row or column counts half at -n/2 and half, mirrored, at +n/2.
     """
@@ -313,9 +321,14 @@ def derivative(f: SpectralField, op: str) -> SpectralField:
             out = 1j * g.kx * c[1] - 1j * g.ky * c[0]
     else:
         raise ValueError(f"unknown derivative op {op!r}")
-    out[..., g.nx // 2, :] = 0.0  # the Nyquist row and column
-    out[..., g.ny // 2] = 0.0
+    _zero_nyquist(out)
     return SpectralField._adopt(g, out)
+
+
+def _zero_nyquist(c: np.ndarray) -> None:
+    """Zero the Nyquist row -nx/2 and column -ny/2 of coefficients (..., nx, ny/2 + 1) in place."""
+    c[..., c.shape[-2] // 2, :] = 0.0
+    c[..., -1] = 0.0
 
 
 def grad_components(u: SpectralField) -> np.ndarray:

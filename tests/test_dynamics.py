@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from alpha_fluids import dynamics
 from alpha_fluids.dynamics import (
@@ -19,7 +20,7 @@ from alpha_fluids.dynamics import (
     third_grade_rhs,
     velocity_from_q,
 )
-from alpha_fluids.helmholtz import helmholtz_apply
+from alpha_fluids.helmholtz import helmholtz_apply, helmholtz_inverse
 from alpha_fluids.spectral import (
     AlphaParam,
     SpectralField,
@@ -66,6 +67,69 @@ def constant_velocity(grid, mean_velocity):
 
 NON_SQUARE = (24, 40, 3.0, 7.5)
 MODES = [DissipationMode.inviscid(), DissipationMode.viscous(0.05), DissipationMode.strong(0.05)]
+ORACLE_SHAPES = [(16, 16), (128, 128), NON_SQUARE]
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # also the sign of every zero, which checkpoints store
+
+
+# -- the field-by-field predecessors of the fused stage, kept as bitwise oracles --------
+
+
+def predecessor_velocity_from_q(q, alpha, mean_velocity=(0.0, 0.0)):
+    """Invert q -> u: omega = (1-a^2 Lap)^{-1} q, Lap psi = omega, u = perp_grad psi."""
+    g = q.grid
+    ksq = np.where(g.k_sq > 0.0, g.k_sq, 1.0)
+    psi_c = helmholtz_inverse(q, alpha).coeffs / -ksq
+    psi_c[0, 0] = 0.0
+    u = derivative(SpectralField._adopt(g, psi_c), "perp_gradient")
+    # u owns a fresh array that nothing else references yet: set its mean in place
+    u.coeffs.flags.writeable = True
+    u.coeffs[:, 0, 0] = mean_velocity
+    u.coeffs.flags.writeable = False
+    return u
+
+
+def predecessor_advection(up, q):
+    """Dealiased pseudospectral u . grad q from physical velocity samples up."""
+    gqp = to_physical(derivative(q, "gradient"))
+    return dealias_two_thirds(to_spectral(q.grid, up[0] * gqp[0] + up[1] * gqp[1]))
+
+
+def predecessor_rhs_vorticity(state, mode):
+    """dq/dt = -dealias(u . grad q) + {0 | nu Lap omega | nu Lap q}."""
+    up = to_physical(predecessor_velocity_from_q(state.q, state.alpha, state.mean_velocity))
+    out = -1.0 * predecessor_advection(up, state.q)
+    if mode.variant == "viscous":
+        out = out + mode.nu * derivative(helmholtz_inverse(state.q, state.alpha), "laplacian")
+    elif mode.variant == "strong":
+        out = out + mode.nu * derivative(state.q, "laplacian")
+    return out
+
+
+def predecessor_step_rk4(state, dt, mode, check_cfl=True):
+    """One classical RK4 step on qhat; dealiases the result."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    q, t = state.q, state.t
+    k1 = predecessor_rhs_vorticity(state, mode)
+    if check_cfl:
+        c = dynamics._cfl_number(state, dt)
+        if c >= 1.0:
+            message = f"CFL number {c:.2f} >= 1; reduce dt"
+            if state._from_solver:
+                raise BlowUpError(t, message)
+            raise ValueError(message)
+    k2 = predecessor_rhs_vorticity(state.with_q(q + 0.5 * dt * k1, t + 0.5 * dt), mode)
+    k3 = predecessor_rhs_vorticity(state.with_q(q + 0.5 * dt * k2, t + 0.5 * dt), mode)
+    k4 = predecessor_rhs_vorticity(state.with_q(q + dt * k3, t + dt), mode)
+    q_new = dealias_two_thirds(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    scale = np.abs(q_new.coeffs).max()
+    if not np.isfinite(scale) or scale > dynamics.BLOWUP_LIMIT:
+        raise BlowUpError(t)
+    return state.with_q(q_new, t + dt)
 
 
 class TestStateFromVelocity:
@@ -193,34 +257,38 @@ class TestStepRk4:
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.variant)
     def test_matches_complex_transforms_with_hermitianize(self, mode, monkeypatch):
-        """Oracle: the complex transform pair, and hermitianize on every stage."""
+        """Oracle: the predecessor on the complex transform pair, hermitianize on every stage."""
         g = make_grid(*NON_SQUARE)
         new = random_state(g, 0.3)
         for _ in range(20):
             new = step_rk4(new, 1e-3, mode)
-        monkeypatch.setattr(
-            dynamics, "to_spectral", lambda grid, s: SpectralField(grid, complex_to_spectral(grid, s)[..., : grid.ny // 2 + 1])
+        monkeypatch.setitem(
+            globals(), "to_spectral",
+            lambda grid, s: SpectralField(grid, complex_to_spectral(grid, s)[..., : grid.ny // 2 + 1]),
         )
-        monkeypatch.setattr(dynamics, "to_physical", lambda f: complex_to_physical(f.grid, full_coeffs(f)))
+        monkeypatch.setitem(globals(), "to_physical", lambda f: complex_to_physical(f.grid, full_coeffs(f)))
         monkeypatch.setattr(
             VorticityState, "with_q", lambda self, q, t: VorticityState(q, self.alpha, t, self.mean_velocity)
         )
         old = random_state(g, 0.3)
         for _ in range(20):
-            old = step_rk4(old, 1e-3, mode)
+            old = predecessor_step_rk4(old, 1e-3, mode)
         scale = np.abs(old.q.coeffs).max()
         assert np.abs(new.q.coeffs - old.q.coeffs).max() <= 1e-12 * scale
+        assert not np.array_equal(new.q.coeffs, old.q.coeffs)  # the oracle did take the complex path
 
     def test_cfl_check_costs_no_transform(self, monkeypatch):
-        inverse = dynamics.to_physical
         calls = []
-        monkeypatch.setattr(dynamics, "to_physical", lambda f: calls.append(1) or inverse(f))
+        for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+            transform = getattr(scipy.fft, name)
+            monkeypatch.setattr(scipy.fft, name, lambda *a, _t=transform, **k: calls.append(1) or _t(*a, **k))
         counts = []
         for check in (True, False):
+            st = two_mode_state(make_grid(32, 32), 0.3)
             calls.clear()
-            step_rk4(two_mode_state(make_grid(32, 32), 0.3), 1e-3, DissipationMode.inviscid(), check_cfl=check)
+            step_rk4(st, 1e-3, DissipationMode.inviscid(), check_cfl=check)
             counts.append(len(calls))
-        assert counts == [8, 8]
+        assert counts == [8, 8]  # one transform pair per stage
 
     def test_cfl_reaching_one_mid_run_aborts_there(self, monkeypatch):
         numbers = iter([0.2, 0.4, 1.5, 0.1])
@@ -246,6 +314,28 @@ class TestStepRk4:
             s = st
             for _ in range(200):
                 s = step_rk4(s, 0.5, DissipationMode.strong(50.0), check_cfl=False)
+
+
+class TestFusedStageMatchesPredecessor:
+    """The fused stage and the in-place RK4 against the field-by-field predecessors, bit for bit."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "x".join(map(str, s[:2])))
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.variant)
+    def test_rhs_and_steps(self, shape, mode):
+        g = make_grid(*shape)
+        new = old = random_state(g, 0.3, amplitude=0.05 if g.nx < 128 else 0.01)
+        for _ in range(20):
+            assert_same_bits(rhs_vorticity(new, mode).coeffs, predecessor_rhs_vorticity(old, mode).coeffs)
+            new, old = step_rk4(new, 1e-3, mode), predecessor_step_rk4(old, 1e-3, mode)
+            assert_same_bits(new.q.coeffs, old.q.coeffs)
+        u = predecessor_velocity_from_q(old.q, old.alpha, old.mean_velocity)
+        assert_same_bits(new.velocity().coeffs, u.coeffs)
+        rhs_vorticity(new, mode)
+        assert_same_bits(new.velocity_samples(), to_physical(u))
+
+    def test_velocity_from_q_default_mean(self):
+        st = random_state(make_grid(*NON_SQUARE), 0.4)
+        assert_same_bits(velocity_from_q(st.q, st.alpha).coeffs, predecessor_velocity_from_q(st.q, st.alpha).coeffs)
 
 
 class TestConservedQuantities:

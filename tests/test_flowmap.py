@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from alpha_fluids import dynamics
+from alpha_fluids import dynamics, flowmap
 from alpha_fluids.dynamics import DissipationMode, VorticityState, run, state_from_velocity
 from alpha_fluids.flowmap import (
     _EVAL_TRUNCATION,
@@ -27,6 +27,7 @@ from alpha_fluids.spectral import (
     derivative,
     full_coeffs,
     make_grid,
+    mode,
     to_physical,
     to_spectral,
 )
@@ -226,6 +227,37 @@ class TestAdvectFlowMap:
         g = make_grid(16, 16)
         with pytest.raises(ValueError):
             advect_flow_map(shear_field(g), make_lattice(g, 8), 0.0, 1.0)
+
+
+def predecessor_rk4_particles(pos_flat, source, t, dt):
+    """Particle RK4 that evaluates (and folds) the field anew at every stage."""
+    mid = source.at(t + 0.5 * dt)
+    u1 = eval_field_at(source.at(t), pos_flat)
+    u2 = eval_field_at(mid, pos_flat + 0.5 * dt * u1)
+    u3 = eval_field_at(mid, pos_flat + 0.5 * dt * u2)
+    u4 = eval_field_at(source.at(t + dt), pos_flat + dt * u3)
+    return pos_flat + (dt / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
+
+
+class TestFoldOncePerStep:
+    def test_co_advect_matches_predecessor_bitwise(self, monkeypatch):
+        g = make_grid(32, 32)
+        run_once = lambda: co_advect(two_mode_setup(g), DissipationMode.inviscid(), 1e-3, 5e-3, make_lattice(g, 16))
+        new_state, new = run_once()
+        monkeypatch.setattr(flowmap, "_rk4_particles", predecessor_rk4_particles)
+        old_state, old = run_once()
+        assert new.positions.tobytes() == old.positions.tobytes()
+        assert new_state.q.coeffs.tobytes() == old_state.q.coeffs.tobytes()
+
+    def test_each_distinct_field_folded_once(self, monkeypatch):
+        fold = flowmap._folded
+        folded = []
+        monkeypatch.setattr(flowmap, "_folded", lambda f: folded.append(f) or fold(f))
+        g = make_grid(16, 16)
+        u0, u1 = shear_field(g), 2.0 * shear_field(g)
+        advect_flow_map(SnapshotVelocity(0.0, 0.1, [u0, u1]), make_lattice(g, 8), 0.1, 0.1)
+        assert len(folded) == 3  # t, t + dt/2 (stages 2 and 3), t + dt
+        assert mode(folded[0], 0, 1)[0] == pytest.approx(-0.75j)  # the midpoint, 1.5 (sin y, 0)
 
 
 class TestVolumeCheck:

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_dynamics import ORACLE_SHAPES, assert_same_bits, predecessor_velocity_from_q
 
+from alpha_fluids import geometry
 from alpha_fluids.dynamics import velocity_from_q
 from alpha_fluids.geometry import (
     DegeneratePlaneError,
@@ -19,8 +21,8 @@ from alpha_fluids.geometry import (
     M_op,
     _clean,
     _exact_product,
-    _Factors,
     _form,
+    _tangent_rhs,
     advect,
     arnold_closed_form,
     calU,
@@ -37,8 +39,10 @@ from alpha_fluids.geometry import (
 from alpha_fluids.helmholtz import helmholtz_apply, helmholtz_inverse, leray_project
 from alpha_fluids.spectral import (
     AlphaParam,
+    FieldStack,
     SpectralField,
     cosine_field,
+    dealias_two_thirds,
     derivative,
     field_from_modes,
     full_coeffs,
@@ -220,14 +224,14 @@ class TestBatchedProductsMatchPredecessor:
 
         product = _form(1, [(0, 0, 1, 1.0)])
         a, b = factors(lo, half - 1 - lo)
-        out = _exact_product(_Factors(g, np.stack([a.coeffs, b.coeffs])), product)[0]
+        out = _exact_product(FieldStack(g, np.stack([a.coeffs, b.coeffs])), product)[0]
         ref = padded_complex_product(a, b)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         a, b = factors(lo + 1, half - 1 - lo)
         with pytest.raises(SupportOverflowError, match="larger grid"):
             padded_complex_product(a, b)
         with pytest.raises(SupportOverflowError, match="larger grid"):
-            _exact_product(_Factors(g, np.stack([a.coeffs, b.coeffs])), product)
+            _exact_product(FieldStack(g, np.stack([a.coeffs, b.coeffs])), product)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -241,7 +245,7 @@ class TestBatchedProductsMatchPredecessor:
         product = _form(1, [(0, 0, 1, 1.0)])
 
         def mul(f, h):
-            return _exact_product(_Factors(g, np.stack([f.coeffs, h.coeffs])), product)[0]
+            return _exact_product(FieldStack(g, np.stack([f.coeffs, h.coeffs])), product)[0]
 
         ab, cb = mul(a, b), mul(c, b)
         ref = padded_complex_product(a, b)
@@ -599,6 +603,68 @@ class TestJacobiEvolve:
         y0 = rand_stream(g, 32)
         traj = jacobi_evolve(u0, y0, zero_field(g, "vector"), 0.1, 2e-3, a)
         assert divergence_defect(traj.y_final) < 1e-11
+
+
+def predecessor_tangent_rhs(q, dq, w, alpha, mean_u):
+    """Time derivatives of (q, delta q, w) for the coupled linearized system."""
+    u = predecessor_velocity_from_q(q, alpha, mean_u)
+    du = predecessor_velocity_from_q(dq, alpha)
+    gq = derivative(q, "gradient")
+    gdq = derivative(dq, "gradient")
+    up, dup = to_physical(u), to_physical(du)
+
+    def dot_grad(a_phys, gb):
+        gb_p = to_physical(gb)
+        return a_phys[0] * gb_p[0] + a_phys[1] * gb_p[1]
+
+    g = q.grid
+    q_dot = dealias_two_thirds(to_spectral(g, -dot_grad(up, gq)))
+    dq_dot = dealias_two_thirds(to_spectral(g, -(dot_grad(up, gdq) + dot_grad(dup, gq))))
+    # w_dot = delta u + (w . grad) u - (u . grad) w
+    wp = to_physical(w)
+    adv = np.empty_like(wp)
+    gu = [to_physical(derivative(u.component(i), "gradient")) for i in range(2)]
+    gw = [to_physical(derivative(w.component(i), "gradient")) for i in range(2)]
+    for i in range(2):
+        adv[i] = wp[0] * gu[i][0] + wp[1] * gu[i][1] - (up[0] * gw[i][0] + up[1] * gw[i][1])
+    w_dot = dealias_two_thirds(to_spectral(g, adv)) + du
+    return q_dot, dq_dot, w_dot
+
+
+def white_noise_stream(grid, seed, amplitude=0.05):
+    """Divergence-free field with every mode inside the 2/3 band live."""
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    return derivative(dealias_two_thirds(to_spectral(grid, amplitude * noise)), "perp_gradient")
+
+
+class TestFusedTangentMatchesPredecessor:
+    """One transform pair per Jacobi stage against the field-by-field predecessor, bit for bit."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "x".join(map(str, s[:2])))
+    def test_tangent_rhs(self, shape):
+        g = make_grid(*shape)
+        a = AlphaParam(0.3)
+        q = helmholtz_apply(derivative(white_noise_stream(g, 1), "curl"), a)
+        dq = helmholtz_apply(derivative(white_noise_stream(g, 2), "curl"), a)
+        mean = np.zeros((2, *g.coeff_shape), dtype=complex)
+        mean[:, 0, 0] = (0.2, -0.4)
+        w = white_noise_stream(g, 3) + SpectralField(g, mean)
+        for new, old in zip(_tangent_rhs(q, dq, w, a, (0.3, -0.1)), predecessor_tangent_rhs(q, dq, w, a, (0.3, -0.1))):
+            assert_same_bits(new.coeffs, old.coeffs)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "x".join(map(str, s[:2])))
+    def test_jacobi_evolve_20_steps(self, shape, monkeypatch):
+        g = make_grid(*shape)
+        a = AlphaParam(0.2)
+        u0, y0, ydot0 = rand_stream(g, 51), rand_stream(g, 52), rand_stream(g, 53)
+        new = jacobi_evolve(u0, y0, ydot0, 0.02, 1e-3, a)
+        monkeypatch.setattr(geometry, "_tangent_rhs", predecessor_tangent_rhs)
+        old = jacobi_evolve(u0, y0, ydot0, 0.02, 1e-3, a)
+        assert len(new.times) == 21
+        for name in ("y_norms", "du_norms"):
+            assert_same_bits(getattr(new, name), getattr(old, name))
+        for name in ("delta_u_final", "y_final", "u_final"):
+            assert_same_bits(getattr(new, name).coeffs, getattr(old, name).coeffs)
 
 
 class TestJacobiGrowthVsCurvatureSign:
