@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import k0, k1
+from .integrate import march, rk4
 
 
 @dataclass(frozen=True)
@@ -85,21 +86,13 @@ def blob_rhs(ens: BlobEnsemble) -> np.ndarray:
 def step_blobs_rk4(ens: BlobEnsemble, dt: float) -> BlobEnsemble:
     if dt == 0.0:
         return ens
-    x = ens.positions
-    k1_ = blob_rhs(ens)
-    k2 = blob_rhs(ens.with_positions(x + 0.5 * dt * k1_))
-    k3 = blob_rhs(ens.with_positions(x + 0.5 * dt * k2))
-    k4 = blob_rhs(ens.with_positions(x + dt * k3))
-    return ens.with_positions(x + (dt / 6.0) * (k1_ + 2.0 * k2 + 2.0 * k3 + k4))
+    x = rk4(lambda _, p: blob_rhs(ens.with_positions(p)), 0.0, ens.positions, dt, blob_rhs(ens))
+    return ens.with_positions(x)
 
 
 def run_blobs(ens: BlobEnsemble, dt: float, T: float, on_step=None) -> BlobEnsemble:
-    n_steps = max(1, round(abs(T) / abs(dt)))
-    for _ in range(n_steps):
-        ens = step_blobs_rk4(ens, dt)
-        if on_step is not None:
-            on_step(ens)
-    return ens
+    """round(|T / dt|) steps; a negative dt runs the flow backward."""
+    return march(step_blobs_rk4, ens, dt, T, on_step)
 
 
 def blob_diagnostics(ens: BlobEnsemble) -> dict:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .helmholtz import DirichletGrid1D, helmholtz_solve_dirichlet_1d
+from .integrate import march, rk4
 from .spectral import AlphaParam
 
 TWO_PI = 2.0 * math.pi
@@ -126,20 +127,12 @@ def ch_rhs_eulerian(state: CHState) -> np.ndarray:
 def step_ch_rk4(state: CHState, dt: float) -> CHState:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u, t = state.u, state.t
-    k1 = ch_rhs_eulerian(state)
-    k2 = ch_rhs_eulerian(state.with_u(u + 0.5 * dt * k1, t + 0.5 * dt))
-    k3 = ch_rhs_eulerian(state.with_u(u + 0.5 * dt * k2, t + 0.5 * dt))
-    k4 = ch_rhs_eulerian(state.with_u(u + dt * k3, t + dt))
-    return state.with_u(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + dt)
+    u = rk4(lambda t, u: ch_rhs_eulerian(state.with_u(u, t)), state.t, state.u, dt, ch_rhs_eulerian(state))
+    return state.with_u(u, state.t + dt)
 
 
 def run_ch(state: CHState, dt: float, T: float, on_step=None) -> CHState:
-    for _ in range(max(1, round(T / dt))):
-        state = step_ch_rk4(state, dt)
-        if on_step is not None:
-            on_step(state)
-    return state
+    return march(step_ch_rk4, state, dt, T, on_step)
 
 
 def ch_energy(state: CHState) -> float:
@@ -231,39 +224,28 @@ def _spray_acceleration(eta: np.ndarray, etadot: np.ndarray, n_work: int) -> np.
 
 
 def ch_spray_step(ls: CHLagrangianState, dt: float) -> CHLagrangianState:
-    """RK4 on (eta, etadot); aborts with MonotonicityError on particle crossing."""
+    """One step of the first-order system in (eta, etadot), stacked as (2, n);
+    aborts with MonotonicityError on particle crossing."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n_work = ls.n_interior
 
-    def accel(eta, etadot):
-        if not (np.diff(eta) > 0.0).all():
+    def f(_, y: np.ndarray) -> np.ndarray:
+        if not (np.diff(y[0]) > 0.0).all():
             raise MonotonicityError(ls.t)
-        a = _spray_acceleration(eta, etadot, n_work)
-        a[0] = a[-1] = 0.0
-        return a
+        k = np.empty_like(y)
+        k[0] = y[1]
+        k[1] = _spray_acceleration(y[0], y[1], ls.n_interior)
+        k[1, 0] = k[1, -1] = 0.0
+        return k
 
-    e, v = ls.eta, ls.etadot
-    a1 = accel(e, v)
-    e2, v2 = e + 0.5 * dt * v, v + 0.5 * dt * a1
-    a2 = accel(e2, v2)
-    e3, v3 = e + 0.5 * dt * v2, v + 0.5 * dt * a2
-    a3 = accel(e3, v3)
-    e4, v4 = e + dt * v3, v + dt * a3
-    a4 = accel(e4, v4)
-    eta_new = e + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    etadot_new = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    eta_new[0], eta_new[-1] = 0.0, 1.0
-    etadot_new[0] = etadot_new[-1] = 0.0
-    return CHLagrangianState(eta_new, etadot_new, ls.t + dt)
+    eta, etadot = rk4(f, ls.t, np.stack((ls.eta, ls.etadot)), dt)
+    eta[0], eta[-1] = 0.0, 1.0
+    etadot[0] = etadot[-1] = 0.0
+    return CHLagrangianState(eta, etadot, ls.t + dt)
 
 
 def run_spray(ls: CHLagrangianState, dt: float, T: float, on_step=None) -> CHLagrangianState:
-    for _ in range(max(1, round(T / dt))):
-        ls = ch_spray_step(ls, dt)
-        if on_step is not None:
-            on_step(ls)
-    return ls
+    return march(ch_spray_step, ls, dt, T, on_step)
 
 
 # -- 1D geometry at the identity ------------------------------------------------------------

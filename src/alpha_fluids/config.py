@@ -85,8 +85,6 @@ _SCHEMA = {
         "alpha": ("float", _nonneg),
         "nu": ("float", _nonneg),
         "dissipation": ("str", _choice("inviscid", "viscous", "strong")),
-        "alpha2": ("float", _nonneg),
-        "beta": ("float", _nonneg),
     },
     "time": {
         "dt": ("float", _pos),
@@ -122,7 +120,6 @@ _SCHEMA = {
         "n": ("int", _pos_int),
         "pairs": ("int", _pos_int),
         "kmax": ("int", _pos_int),
-        "d": ("float", _pos),
         "t_diag": ("float", _pos),
         "refine": ("int", _nonneg),
         "ladders": ("str", _choice("both", "transport", "volume")),

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .helmholtz import helmholtz_apply, helmholtz_inverse, leray_project
+from .integrate import march, rk4
 from .spectral import (
     AlphaParam,
     FieldStack,
@@ -243,7 +244,7 @@ def _cfl_number(state: VorticityState, dt: float) -> float:
 
 
 def step_rk4(state: VorticityState, dt: float, mode: DissipationMode, check_cfl: bool = True) -> VorticityState:
-    """One classical RK4 step on qhat; dealiases the result.
+    """One integrate.rk4 step on qhat; dealiases the result.
 
     The CFL check reads the physical velocity that the first stage already
     computed, so it costs no transform.  CFL >= 1 on a caller's state is bad
@@ -265,20 +266,10 @@ def step_rk4(state: VorticityState, dt: float, mode: DissipationMode, check_cfl:
         if c > 0.5:
             warnings.warn(f"CFL number {c:.2f} > 0.5; accuracy degraded", stacklevel=2)
 
-    def stage(h: float, k: SpectralField) -> VorticityState:  # at t + h with q + h * k, rounded alike
-        s = k.coeffs * h
-        s += q.coeffs
-        return state.with_q(SpectralField._adopt(q.grid, s), t + h)
+    def f(ts: float, c: np.ndarray) -> np.ndarray:
+        return rhs_vorticity(state.with_q(SpectralField._adopt(q.grid, c), ts), mode).coeffs
 
-    k2 = rhs_vorticity(stage(0.5 * dt, k1), mode)
-    k3 = rhs_vorticity(stage(0.5 * dt, k2), mode)
-    k4 = rhs_vorticity(stage(dt, k3), mode)
-    acc = k2.coeffs * 2.0  # q + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
-    acc += k1.coeffs
-    acc += k3.coeffs * 2.0
-    acc += k4.coeffs
-    acc *= dt / 6.0
-    acc += q.coeffs
+    acc = rk4(f, t, q.coeffs, dt, k1.coeffs)
     np.copyto(acc, 0.0, where=_tables(q.grid, state.alpha.alpha_sq).drop)
     scale = np.abs(acc).max()
     if not np.isfinite(scale) or scale > BLOWUP_LIMIT:
@@ -286,20 +277,9 @@ def step_rk4(state: VorticityState, dt: float, mode: DissipationMode, check_cfl:
     return state.with_q(SpectralField._adopt(q.grid, acc), t + dt)
 
 
-def run(
-    state: VorticityState,
-    dt: float,
-    T: float,
-    mode: DissipationMode,
-    on_step=None,
-) -> VorticityState:
+def run(state: VorticityState, dt: float, T: float, mode: DissipationMode, on_step=None) -> VorticityState:
     """Integrate to t = state.t + T (rounded to whole steps); on_step(state) per step."""
-    n_steps = max(1, round(T / dt))
-    for _ in range(n_steps):
-        state = step_rk4(state, dt, mode)
-        if on_step is not None:
-            on_step(state)
-    return state
+    return march(lambda s, h: step_rk4(s, h, mode), state, dt, T, on_step)
 
 
 # -- conserved quantities ------------------------------------------------------------
@@ -430,15 +410,11 @@ def _cubic_stress_divergence(u: SpectralField, g: TorusGrid2D) -> SpectralField:
 
 
 def step_third_grade_rk4(u: SpectralField, dt: float, p: ThirdGradeParams) -> SpectralField:
-    """RK4 step in momentum variables; keeps the state dealiased and solenoidal."""
+    """One integrate.rk4 step in momentum variables; keeps the state dealiased and solenoidal."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    k1 = third_grade_rhs(u, p)
-    k2 = third_grade_rhs(u + 0.5 * dt * k1, p)
-    k3 = third_grade_rhs(u + 0.5 * dt * k2, p)
-    k4 = third_grade_rhs(u + dt * k3, p)
-    u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    u_new = leray_project(dealias_two_thirds(u_new))
+    acc = rk4(lambda _, c: third_grade_rhs(SpectralField._adopt(u.grid, c), p).coeffs, 0.0, u.coeffs, dt)
+    u_new = leray_project(dealias_two_thirds(SpectralField._adopt(u.grid, acc)))
     if not np.isfinite(np.abs(u_new.coeffs).max()):
         raise BlowUpError(float("nan"), "third-grade integration lost finiteness")
     return u_new

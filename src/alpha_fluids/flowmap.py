@@ -1,9 +1,9 @@
 """Flow-map integration, volume/transport verification, and exponential maps.
 
-Particles realizing eta(t, x) on a reference lattice are advected with RK4
-through a time-indexed velocity source.  Nonuniform velocity evaluation is
-exact Fourier summation restricted to the (thresholded) live mode block, so
-evaluation error stays at roundoff.
+Particles realizing eta(t, x) on a reference lattice are advected by
+integrate.rk4 through a time-indexed velocity source.  Nonuniform velocity
+evaluation is exact Fourier summation restricted to the (thresholded) live
+mode block, so evaluation error stays at roundoff.
 
 Positions are stored unwrapped (eta of a degree-one periodic map), which makes
 the centered-difference Jacobian of volume_check smooth across the seam.
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DissipationMode, VorticityState, state_from_velocity, step_rk4
+from .integrate import rk4
 from .spectral import TWO_PI, AlphaParam, SpectralField, TorusGrid2D, full_coeffs
 
 _EVAL_TRUNCATION = 1e-16  # relative: modes below this cannot move max error past 1e-13
@@ -166,12 +167,14 @@ class SnapshotVelocity:
 
 
 def _rk4_particles(pos_flat: np.ndarray, source, t: float, dt: float) -> np.ndarray:
-    mid = _folded(source.at(t + 0.5 * dt))  # stages 2 and 3 share its fold
-    u1 = _folded(source.at(t))(pos_flat)
-    u2 = mid(pos_flat + 0.5 * dt * u1)
-    u3 = mid(pos_flat + 0.5 * dt * u2)
-    u4 = _folded(source.at(t + dt))(pos_flat + dt * u3)
-    return pos_flat + (dt / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
+    folds = {t + 0.5 * dt: _folded(source.at(t + 0.5 * dt))}  # one fold per stage time; stages 2 and 3 share this one
+
+    def velocity(ts: float, pos: np.ndarray) -> np.ndarray:
+        if ts not in folds:
+            folds[ts] = _folded(source.at(ts))
+        return folds[ts](pos)
+
+    return rk4(velocity, t, pos_flat, dt)
 
 
 def advect_flow_map(source, fmap: FlowMap, dt: float, T: float) -> FlowMap:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dynamics import _gradient, _invert, _tables, state_from_velocity, velocity_from_q
 from .helmholtz import helmholtz_inverse, leray_project
+from .integrate import rk4
 from .spectral import (
     AlphaParam,
     FieldStack,
@@ -363,23 +364,23 @@ class JacobiTrajectory:
     u_final: SpectralField
 
 
-def _tangent_rhs(q, dq, w, alpha, mean_u):
-    """Time derivatives of (q, delta q, w) for the coupled linearized system.
+def _tangent_rhs(g: TorusGrid2D, y: np.ndarray, alpha, mean_u) -> np.ndarray:
+    """Time derivatives of the stack y = (q, delta q, w^x, w^y) for the coupled
+    linearized system, as a stack of the same shape (4, nx, ny/2 + 1).
 
     One inverse transform takes u, delta u, grad q, grad delta q, grad u^i,
     grad w^i and w to the grid; one forward transform brings back
     -u.grad q, -(u.grad dq + du.grad q) and w_dot - delta u = (w.grad) u - (u.grad) w.
     """
-    g = q.grid
     t = _tables(g, alpha.alpha_sq)
     s = np.empty((18,) + g.coeff_shape, dtype=np.complex128)
-    _invert(s[0:2], q.coeffs, t, mean_u)
-    _invert(s[2:4], dq.coeffs, t, (0.0, 0.0))
-    _gradient(s[4:6], q.coeffs, t)
-    _gradient(s[6:8], dq.coeffs, t)
+    _invert(s[0:2], y[0], t, mean_u)
+    _invert(s[2:4], y[1], t, (0.0, 0.0))
+    _gradient(s[4:6], y[0], t)
+    _gradient(s[6:8], y[1], t)
     _gradient(s[8:12].reshape((2, 2) + g.coeff_shape), s[0:2], t)  # d_m u^i at 8 + 2m + i
-    _gradient(s[12:16].reshape((2, 2) + g.coeff_shape), w.coeffs, t)
-    s[16:18] = w.coeffs
+    _gradient(s[12:16].reshape((2, 2) + g.coeff_shape), y[2:], t)
+    s[16:18] = y[2:]
     p = to_physical(FieldStack(g, s))
     up, dup, gq, gdq, wp = p[0:2], p[2:4], p[4:6], p[6:8], p[16:18]
     gu, gw = p[8:12].reshape(2, 2, g.nx, g.ny), p[12:16].reshape(2, 2, g.nx, g.ny)
@@ -391,7 +392,7 @@ def _tangent_rhs(q, dq, w, alpha, mean_u):
     c = to_spectral_padded(g, out)
     np.copyto(c, 0.0, where=t.drop)
     c[2:] += s[2:4]
-    return SpectralField._adopt(g, c[0]), SpectralField._adopt(g, c[1]), SpectralField._adopt(g, c[2:])
+    return c
 
 
 def jacobi_evolve(
@@ -407,8 +408,8 @@ def jacobi_evolve(
     Realized as the linearization of the inviscid flow: the nonlinear potential
     vorticity q, the linearized perturbation delta q, and the Jacobi field
     Y = w (Eulerian representative of the geodesic variation) are co-integrated
-    with RK4.  Initial data: Y(0) = y0 and covariant velocity Ydot(0) = ydot0,
-    converted to the Eulerian velocity perturbation through
+    with integrate.rk4.  Initial data: Y(0) = y0 and covariant velocity
+    Ydot(0) = ydot0, converted to the Eulerian velocity perturbation through
 
         delta u(0) = ydot0 - (y0 . grad) u0 + (u0 . grad) y0 - nabla~_{u0} y0.
 
@@ -426,25 +427,17 @@ def jacobi_evolve(
     du0 = ydot0 - advect(y0, u0) + advect(u0, y0) - covariant_derivative(u0, y0, alpha)
     dq = state_from_velocity(du0, alpha).q
 
-    n_steps = max(1, round(T / dt))
+    g = q.grid
+    y = np.concatenate((q.coeffs[None], dq.coeffs[None], w.coeffs))  # (q, delta q, w^x, w^y)
     times = [0.0]
     y_norms = [norm_alpha(w, alpha)]
     du_norms = [norm_alpha(velocity_from_q(dq, alpha), alpha)]
-    for step in range(n_steps):
-        t = step * dt
-        k1 = _tangent_rhs(q, dq, w, alpha, mean_u)
-        s2 = (q + 0.5 * dt * k1[0], dq + 0.5 * dt * k1[1], w + 0.5 * dt * k1[2])
-        k2 = _tangent_rhs(*s2, alpha, mean_u)
-        s3 = (q + 0.5 * dt * k2[0], dq + 0.5 * dt * k2[1], w + 0.5 * dt * k2[2])
-        k3 = _tangent_rhs(*s3, alpha, mean_u)
-        s4 = (q + dt * k3[0], dq + dt * k3[1], w + dt * k3[2])
-        k4 = _tangent_rhs(*s4, alpha, mean_u)
-        q = q + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        dq = dq + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        w = w + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if not np.isfinite(q.coeffs).all():
-            raise FloatingPointError(f"jacobi integration lost finiteness at t={t + dt:g}")
-        times.append((step + 1) * dt)
+    for step in range(1, max(1, round(T / dt)) + 1):
+        y = rk4(lambda _, c: _tangent_rhs(g, c, alpha, mean_u), 0.0, y, dt)
+        if not np.isfinite(y[0]).all():
+            raise FloatingPointError(f"jacobi integration lost finiteness at t={step * dt:g}")
+        q, dq, w = SpectralField._adopt(g, y[0]), SpectralField._adopt(g, y[1]), SpectralField._adopt(g, y[2:])
+        times.append(step * dt)
         y_norms.append(norm_alpha(w, alpha))
         du_norms.append(norm_alpha(velocity_from_q(dq, alpha), alpha))
 

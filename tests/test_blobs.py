@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_dynamics import assert_same_bits
 
 from alpha_fluids.bessel import k1
 from alpha_fluids.blobs import (
@@ -18,6 +19,18 @@ from alpha_fluids.blobs import (
 def two_blob(d=1.0, gamma=1.0, alpha=0.35):
     pos = np.array([[-d / 2, 0.0], [d / 2, 0.0]])
     return BlobEnsemble(pos, np.array([gamma, gamma]), alpha)
+
+
+def predecessor_step_blobs_rk4(ens, dt):
+    """The hand-written RK4 stage sum that integrate.rk4 replaced, kept as a bitwise oracle."""
+    if dt == 0.0:
+        return ens
+    x = ens.positions
+    k1_ = blob_rhs(ens)
+    k2 = blob_rhs(ens.with_positions(x + 0.5 * dt * k1_))
+    k3 = blob_rhs(ens.with_positions(x + 0.5 * dt * k2))
+    k4 = blob_rhs(ens.with_positions(x + dt * k3))
+    return ens.with_positions(x + (dt / 6.0) * (k1_ + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 class TestKernel:
@@ -91,6 +104,27 @@ class TestDynamics:
             assert abs(d1["linear_impulse"][i] - d0["linear_impulse"][i]) < 1e-10 * gam
         assert abs(d1["angular_impulse"] - d0["angular_impulse"]) < 1e-10 * gam
         assert d1["total_circulation"] == d0["total_circulation"]
+
+    def test_backward_run_returns_to_start(self):
+        ens = blob_ring(4, 1.0, 1.0, 0.3)
+        steps = []
+        fwd = run_blobs(ens, 1e-3, 0.5, on_step=steps.append)
+        back = run_blobs(fwd, -1e-3, 0.5, on_step=steps.append)
+        assert len(steps) == 1000  # round(|T / dt|) steps each way
+        assert np.abs(back.positions - ens.positions).max() < 1e-15
+
+    def test_zero_dt_run_rejected(self):
+        with pytest.raises(ValueError, match="dt"):
+            run_blobs(two_blob(), 0.0, 1.0)
+
+    @pytest.mark.parametrize("dt", [2e-3, -2e-3])
+    def test_step_matches_predecessor_bitwise(self, dt):
+        rng = np.random.default_rng(5)
+        start = new = old = BlobEnsemble(rng.standard_normal((6, 2)), rng.standard_normal(6), 0.4)
+        for _ in range(25):
+            new, old = step_blobs_rk4(new, dt), predecessor_step_blobs_rk4(old, dt)
+            assert_same_bits(new.positions, old.positions)
+        assert np.abs(new.positions - start.positions).max() > 1e-3
 
     def test_time_reversal(self):
         ens = blob_ring(3, 0.8, 1.2, 0.4)

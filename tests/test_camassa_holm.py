@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_dynamics import assert_same_bits
 
 from alpha_fluids.camassa_holm import (
     CHLagrangianState,
@@ -20,6 +21,7 @@ from alpha_fluids.camassa_holm import (
     run_spray,
     step_ch_rk4,
 )
+from alpha_fluids.camassa_holm import _spray_acceleration
 
 
 def periodic_grid(n, L=2 * np.pi):
@@ -28,6 +30,81 @@ def periodic_grid(n, L=2 * np.pi):
 
 def dirichlet_grid(n):
     return np.arange(1, n + 1) / (n + 1)
+
+
+# -- the hand-written RK4 stage sums that integrate.rk4 replaced, kept as bitwise oracles --
+
+
+def predecessor_step_ch_rk4(state, dt):
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    u, t = state.u, state.t
+    k1 = ch_rhs_eulerian(state)
+    k2 = ch_rhs_eulerian(state.with_u(u + 0.5 * dt * k1, t + 0.5 * dt))
+    k3 = ch_rhs_eulerian(state.with_u(u + 0.5 * dt * k2, t + 0.5 * dt))
+    k4 = ch_rhs_eulerian(state.with_u(u + dt * k3, t + dt))
+    return state.with_u(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + dt)
+
+
+def predecessor_ch_spray_step(ls, dt):
+    """RK4 on (eta, etadot); aborts with MonotonicityError on particle crossing."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n_work = ls.n_interior
+
+    def accel(eta, etadot):
+        if not (np.diff(eta) > 0.0).all():
+            raise MonotonicityError(ls.t)
+        a = _spray_acceleration(eta, etadot, n_work)
+        a[0] = a[-1] = 0.0
+        return a
+
+    e, v = ls.eta, ls.etadot
+    a1 = accel(e, v)
+    e2, v2 = e + 0.5 * dt * v, v + 0.5 * dt * a1
+    a2 = accel(e2, v2)
+    e3, v3 = e + 0.5 * dt * v2, v + 0.5 * dt * a2
+    a3 = accel(e3, v3)
+    e4, v4 = e + dt * v3, v + dt * a3
+    a4 = accel(e4, v4)
+    eta_new = e + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    etadot_new = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    eta_new[0], eta_new[-1] = 0.0, 1.0
+    etadot_new[0] = etadot_new[-1] = 0.0
+    return CHLagrangianState(eta_new, etadot_new, ls.t + dt)
+
+
+class TestSharedRk4MatchesPredecessor:
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_step_ch_rk4_bitwise(self, bc):
+        n = 128
+        x = dirichlet_grid(n) if bc == "dirichlet" else periodic_grid(n)
+        rng = np.random.default_rng(6)
+        new = old = CHState(0.3 * np.sin(np.pi * x) + 0.01 * rng.standard_normal(n), bc)
+        for _ in range(25):
+            new, old = step_ch_rk4(new, 2e-3), predecessor_step_ch_rk4(old, 2e-3)
+            assert_same_bits(new.u, old.u)
+            assert new.t == old.t
+        assert new.t > 0.0
+
+    def test_ch_spray_step_bitwise(self):
+        n = 63
+        u0 = CHState(0.3 * np.sin(np.pi * dirichlet_grid(n)) + 0.1 * np.sin(3 * np.pi * dirichlet_grid(n)), "dirichlet")
+        new = old = lagrangian_from_velocity(u0)
+        for _ in range(25):
+            new, old = ch_spray_step(new, 2e-3), predecessor_ch_spray_step(old, 2e-3)
+            assert_same_bits(new.eta, old.eta)
+            assert_same_bits(new.etadot, old.etadot)
+            assert new.t == old.t
+        assert np.abs(new.eta - lagrangian_from_velocity(u0).eta).max() > 1e-3
+
+    def test_spray_crossing_raises_at_step_start(self):
+        nodes = np.linspace(0.0, 1.0, 11)
+        vel = np.zeros_like(nodes)
+        vel[5], vel[6] = 40.0, -40.0  # particles 5 and 6 cross within one step
+        with pytest.raises(MonotonicityError) as exc:
+            ch_spray_step(CHLagrangianState(nodes, vel, 0.25), 0.01)
+        assert exc.value.t == 0.25
 
 
 class TestEulerianRhs:
@@ -213,3 +290,10 @@ class TestValidation:
         st = CHState(np.zeros(16), "periodic")
         with pytest.raises(ValueError):
             step_ch_rk4(st, 0.0)
+
+    def test_zero_dt_runs_rejected(self):
+        st = CHState(np.zeros(16), "dirichlet")
+        with pytest.raises(ValueError, match="dt"):
+            run_ch(st, 0.0, 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            run_spray(lagrangian_from_velocity(st), 0.0, 1.0)

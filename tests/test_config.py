@@ -47,6 +47,14 @@ def test_unknown_key_rejected():
         parse_config(MINIMAL + "\n[grid]\nmz = 12\n")
 
 
+@pytest.mark.parametrize("section, key", [("physics", "alpha2"), ("physics", "beta"), ("experiment", "d")])
+def test_knobs_no_driver_reads_are_unknown_keys(section, key):
+    text = MINIMAL + f"[{section}]\n{key} = 0.5\n"
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in section \\[{section}\\]") as exc:
+        parse_config(text)
+    assert exc.value.line == text.splitlines().index(f"{key} = 0.5") + 1
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section"):
         parse_config(MINIMAL + "\n[turbo]\nboost = 1\n")

@@ -20,7 +20,7 @@ from alpha_fluids.dynamics import (
     third_grade_rhs,
     velocity_from_q,
 )
-from alpha_fluids.helmholtz import helmholtz_apply, helmholtz_inverse
+from alpha_fluids.helmholtz import helmholtz_apply, helmholtz_inverse, leray_project
 from alpha_fluids.spectral import (
     AlphaParam,
     SpectralField,
@@ -132,6 +132,21 @@ def predecessor_step_rk4(state, dt, mode, check_cfl=True):
     return state.with_q(q_new, t + dt)
 
 
+def predecessor_step_third_grade_rk4(u, dt, p):
+    """The hand-written RK4 stage sum that integrate.rk4 replaced, kept as a bitwise oracle."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    k1 = third_grade_rhs(u, p)
+    k2 = third_grade_rhs(u + 0.5 * dt * k1, p)
+    k3 = third_grade_rhs(u + 0.5 * dt * k2, p)
+    k4 = third_grade_rhs(u + dt * k3, p)
+    u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u_new = leray_project(dealias_two_thirds(u_new))
+    if not np.isfinite(np.abs(u_new.coeffs).max()):
+        raise BlowUpError(float("nan"), "third-grade integration lost finiteness")
+    return u_new
+
+
 class TestStateFromVelocity:
     @pytest.mark.parametrize("shape", [(32, 32), NON_SQUARE])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -233,6 +248,10 @@ class TestStepRk4:
         g = make_grid(16, 16)
         with pytest.raises(ValueError):
             step_rk4(shear_state(g, 0.1), -1e-3, DissipationMode.inviscid())
+
+    def test_zero_dt_run_rejected(self):
+        with pytest.raises(ValueError, match="dt"):
+            run(shear_state(make_grid(16, 16), 0.1), 0.0, 1.0, DissipationMode.inviscid())
 
     def test_cfl_guard(self):
         g = make_grid(64, 64)
@@ -424,6 +443,13 @@ class TestThirdGrade:
         for _ in range(20):
             u = step_third_grade_rk4(u, 1e-3, p)
         assert hermitian_asymmetry(u) == 0.0
+
+    def test_step_matches_predecessor_bitwise(self):
+        new = old = random_state(make_grid(*NON_SQUARE), 0.3).velocity()
+        p = ThirdGradeParams(alpha1=0.09, alpha2=0.05, beta=0.1, nu=0.02)
+        for _ in range(20):
+            new, old = step_third_grade_rk4(new, 1e-3, p), predecessor_step_third_grade_rk4(old, 1e-3, p)
+            assert_same_bits(new.coeffs, old.coeffs)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
