@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import BlowUpError
 from .helmholtz import DirichletGrid1D, helmholtz_solve_dirichlet_1d
 from .integrate import march, rk4
 from .spectral import AlphaParam
@@ -77,7 +78,12 @@ class CHState:
         return np.arange(self.n) * (self.L / self.n)
 
     def with_u(self, u: np.ndarray, t: float) -> "CHState":
-        return CHState(u, self.bc, t, self.L)
+        """State at time t that adopts u, read-only, without the constructor's checks
+        or copy: u must be a fresh float array of n samples (see step_ch_rk4)."""
+        u.flags.writeable = False
+        new = object.__new__(CHState)
+        new.__dict__.update(u=u, bc=self.bc, t=t, L=self.L)
+        return new
 
 
 def _dirichlet_full(u: np.ndarray) -> np.ndarray:
@@ -107,6 +113,15 @@ def _nonlocal_derivative_periodic(w: np.ndarray, L: float) -> np.ndarray:
     return np.fft.irfft(1j * k / (1.0 + k * k) * what, n=n)
 
 
+def _bracket_dirichlet(u: np.ndarray, grid: DirichletGrid1D) -> tuple[np.ndarray, np.ndarray]:
+    """u_x on the closed interval and (1 - dxx)^{-1} dx (u^2 + u_x^2/2) inside, from u inside."""
+    full = _dirichlet_full(u)
+    ux_full = _deriv_full(full, grid.h)
+    w_full = full**2 + 0.5 * ux_full**2
+    dw = (w_full[2:] - w_full[:-2]) / (2.0 * grid.h)
+    return ux_full, helmholtz_solve_dirichlet_1d(dw, AlphaParam(1.0), grid)
+
+
 def ch_rhs_eulerian(state: CHState) -> np.ndarray:
     """du/dt in the nonlocal form; boundary conditions are built in."""
     if state.bc == "periodic":
@@ -114,20 +129,17 @@ def ch_rhs_eulerian(state: CHState) -> np.ndarray:
         ux = _deriv_periodic(state.u, h)
         w = state.u**2 + 0.5 * ux * ux
         return -state.u * ux - _nonlocal_derivative_periodic(w, state.L)
-    grid = DirichletGrid1D(state.n)
-    h = grid.h
-    full = _dirichlet_full(state.u)
-    ux_full = _deriv_full(full, h)
-    w_full = full**2 + 0.5 * ux_full**2
-    dw_interior = (w_full[2:] - w_full[:-2]) / (2.0 * h)
-    b = helmholtz_solve_dirichlet_1d(dw_interior, AlphaParam(1.0), grid)
+    ux_full, b = _bracket_dirichlet(state.u, DirichletGrid1D(state.n))
     return -state.u * ux_full[1:-1] - b
 
 
 def step_ch_rk4(state: CHState, dt: float) -> CHState:
+    """One integrate.rk4 step; BlowUpError if the result is not finite."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     u = rk4(lambda t, u: ch_rhs_eulerian(state.with_u(u, t)), state.t, state.u, dt, ch_rhs_eulerian(state))
+    if not np.isfinite(u).all():
+        raise BlowUpError(state.t)
     return state.with_u(u, state.t + dt)
 
 
@@ -136,16 +148,8 @@ def run_ch(state: CHState, dt: float, T: float, on_step=None) -> CHState:
 
 
 def ch_energy(state: CHState) -> float:
-    """Trapezoidal integral(u^2 + u_x^2): the squared metric norm, conserved
-    by the inviscid flow (boundary nodes contribute nothing under Dirichlet)."""
-    if state.bc == "periodic":
-        h = state.L / state.n
-        ux = _deriv_periodic(state.u, h)
-        return float(h * np.sum(state.u**2 + ux**2))
-    grid = DirichletGrid1D(state.n)
-    full = _dirichlet_full(state.u)
-    ux = _deriv_full(full, grid.h)
-    return float(np.trapezoid(full**2 + ux**2, dx=grid.h))
+    """inner_h1(u, u) = integral(u^2 + u_x^2): the squared norm the inviscid flow conserves."""
+    return inner_h1(state.u, state.u, state.bc, state.L)
 
 
 # -- Lagrangian spray form ----------------------------------------------------------------
@@ -212,15 +216,8 @@ def _spray_acceleration(eta: np.ndarray, etadot: np.ndarray, n_work: int) -> np.
     from scipy.interpolate import PchipInterpolator
 
     grid = DirichletGrid1D(n_work)
-    h = grid.h
-    u_interp = PchipInterpolator(eta, etadot)
-    full = np.concatenate([[0.0], u_interp(grid.x), [0.0]])
-    ux_full = _deriv_full(full, h)
-    w_full = full**2 + 0.5 * ux_full**2
-    dw = (w_full[2:] - w_full[:-2]) / (2.0 * h)
-    b = helmholtz_solve_dirichlet_1d(dw, AlphaParam(1.0), grid)
-    b_at = PchipInterpolator(grid.x, b, extrapolate=True)
-    return -b_at(eta)
+    _, b = _bracket_dirichlet(PchipInterpolator(eta, etadot)(grid.x), grid)
+    return -PchipInterpolator(grid.x, b, extrapolate=True)(eta)
 
 
 def ch_spray_step(ls: CHLagrangianState, dt: float) -> CHLagrangianState:

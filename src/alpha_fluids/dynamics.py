@@ -278,7 +278,7 @@ def step_rk4(state: VorticityState, dt: float, mode: DissipationMode, check_cfl:
 
 
 def run(state: VorticityState, dt: float, T: float, mode: DissipationMode, on_step=None) -> VorticityState:
-    """Integrate to t = state.t + T (rounded to whole steps); on_step(state) per step."""
+    """Integrate to t = state.t + T (rounded to whole steps); on_step(n, state) after step n."""
     return march(lambda s, h: step_rk4(s, h, mode), state, dt, T, on_step)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DissipationMode, VorticityState, state_from_velocity, step_rk4
-from .integrate import rk4
+from .integrate import march, rk4
 from .spectral import TWO_PI, AlphaParam, SpectralField, TorusGrid2D, full_coeffs
 
 _EVAL_TRUNCATION = 1e-16  # relative: modes below this cannot move max error past 1e-13
@@ -188,24 +188,21 @@ def advect_flow_map(source, fmap: FlowMap, dt: float, T: float) -> FlowMap:
         raise ValueError("need dt > 0 and T >= dt")
     if isinstance(source, SpectralField):
         source = FrozenVelocity(source)
-    m = fmap.m
-    pos = fmap.positions.reshape(m * m, 2).copy()
-    t = fmap.t
-    for _ in range(max(1, round(T / dt))):
-        pos = _rk4_particles(pos, source, t, dt)
-        t += dt
+
+    def step(c, h):
+        pos, t = c
+        pos, t = _rk4_particles(pos, source, t, h), t + h
         if not np.isfinite(pos).all():
             raise FloatingPointError(f"particle positions lost finiteness at t={t:g}")
+        return pos, t
+
+    m = fmap.m
+    pos, t = march(step, (fmap.positions.reshape(m * m, 2), fmap.t), dt, T)
     return fmap.with_positions(pos.reshape(m, m, 2), t)
 
 
 def co_advect(
-    state: VorticityState,
-    mode: DissipationMode,
-    dt: float,
-    T: float,
-    fmap: FlowMap,
-    on_step=None,
+    state: VorticityState, mode: DissipationMode, dt: float, T: float, fmap: FlowMap
 ) -> tuple[VorticityState, FlowMap]:
     """Step the solver and the flow map together, one snapshot pair at a time.
 
@@ -213,20 +210,16 @@ def co_advect(
     solver snapshots, so memory stays at two velocity fields no matter how
     long the run is.
     """
-    m = fmap.m
-    pos = fmap.positions.reshape(m * m, 2).copy()
-    n_steps = max(1, round(T / dt))
-    u_prev = state.velocity()
-    t0 = state.t
-    for _ in range(n_steps):
-        new_state = step_rk4(state, dt, mode)
-        u_next = new_state.velocity()
-        source = SnapshotVelocity(state.t, dt, [u_prev, u_next])
-        pos = _rk4_particles(pos, source, state.t, dt)
-        state, u_prev = new_state, u_next
-        if on_step is not None:
-            on_step(state)
-    return state, fmap.with_positions(pos.reshape(m, m, 2), t0 + n_steps * dt)
+
+    def step(c, h):
+        s, pos, n = c
+        new = step_rk4(s, h, mode)
+        source = SnapshotVelocity(s.t, h, [s.velocity(), new.velocity()])
+        return new, _rk4_particles(pos, source, s.t, h), n + 1
+
+    m, t0 = fmap.m, state.t
+    state, pos, n = march(step, (state, fmap.positions.reshape(m * m, 2), 0), dt, T)
+    return state, fmap.with_positions(pos.reshape(m, m, 2), t0 + n * dt)
 
 
 # -- verification functionals ----------------------------------------------------------

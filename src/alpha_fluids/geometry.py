@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import _gradient, _invert, _tables, state_from_velocity, velocity_from_q
 from .helmholtz import helmholtz_inverse, leray_project
-from .integrate import rk4
+from .integrate import march, rk4
 from .spectral import (
     AlphaParam,
     FieldStack,
@@ -432,15 +432,16 @@ def jacobi_evolve(
     times = [0.0]
     y_norms = [norm_alpha(w, alpha)]
     du_norms = [norm_alpha(velocity_from_q(dq, alpha), alpha)]
-    for step in range(1, max(1, round(T / dt)) + 1):
-        y = rk4(lambda _, c: _tangent_rhs(g, c, alpha, mean_u), 0.0, y, dt)
-        if not np.isfinite(y[0]).all():
-            raise FloatingPointError(f"jacobi integration lost finiteness at t={step * dt:g}")
-        q, dq, w = SpectralField._adopt(g, y[0]), SpectralField._adopt(g, y[1]), SpectralField._adopt(g, y[2:])
-        times.append(step * dt)
-        y_norms.append(norm_alpha(w, alpha))
-        du_norms.append(norm_alpha(velocity_from_q(dq, alpha), alpha))
 
+    def record(n: int, c: np.ndarray) -> None:
+        if not np.isfinite(c[0]).all():
+            raise FloatingPointError(f"jacobi integration lost finiteness at t={n * dt:g}")
+        times.append(n * dt)
+        y_norms.append(norm_alpha(SpectralField._adopt(g, c[2:]), alpha))
+        du_norms.append(norm_alpha(velocity_from_q(SpectralField._adopt(g, c[1]), alpha), alpha))
+
+    y = march(lambda c, h: rk4(lambda _, x: _tangent_rhs(g, x, alpha, mean_u), 0.0, c, h), y, dt, T, record)
+    q, dq, w = SpectralField._adopt(g, y[0]), SpectralField._adopt(g, y[1]), SpectralField._adopt(g, y[2:])
     return JacobiTrajectory(
         times=np.asarray(times),
         y_norms=np.asarray(y_norms),

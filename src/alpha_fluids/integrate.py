@@ -29,12 +29,12 @@ def rk4(f, t: float, y, dt: float, k1=None):
 
 
 def march(step, state, dt: float, T: float, on_step=None):
-    """state after round(|T / dt|) calls (at least one) of step(state, dt), calling
-    on_step(state) after each; T is a duration, and the sign of dt the direction."""
+    """state after N = round(|T / dt|) calls (at least one) of step(state, dt), calling
+    on_step(n, state) after call n = 1..N; T is a duration, and the sign of dt the direction."""
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    for _ in range(max(1, round(abs(T / dt)))):
+    for n in range(1, max(1, round(abs(T / dt))) + 1):
         state = step(state, dt)
         if on_step is not None:
-            on_step(state)
+            on_step(n, state)
     return state

@@ -10,9 +10,10 @@ mode; the manifest additionally records wall time, which is exempt.
 
 Exit status contract: 0 success; 1 bad input (a ValueError such as a CFL
 violation by the initial state, or an output directory that cannot be made),
-with one ``error:`` line on stderr; 2 numerical abort (blow-up, a CFL number
-the run grows into, non-finite particles, a geometry product outgrowing its
-grid).  Failures in an output directory leave an INCOMPLETE manifest.
+with one ``error:`` line on stderr; 2 numerical abort (blow-up, a non-finite
+CH velocity, a CFL number the run grows into, non-finite particles, a geometry
+product outgrowing its grid), which keeps the series rows so far
+(_record_series).  Failures in an output directory leave an INCOMPLETE manifest.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .dynamics import (
     energy_alpha,
     run,
     state_from_velocity,
-    step_rk4,
+    step_rk4,  # unused here; bound for perfbench's Patch test of every binding
 )
 from .flowmap import co_advect, make_lattice, transport_check, volume_check
 from .geometry import (
@@ -67,12 +68,8 @@ from .spectral import (
 )
 
 
-class RunAborted(RuntimeError):
-    """Numerical guard fired; the manifest has already been flagged INCOMPLETE."""
-
-    def __init__(self, message: str, t_last_good: float):
-        self.t_last_good = t_last_good
-        super().__init__(message)
+# numerical outcomes, exit 2, though DegeneratePlaneError is a ValueError
+_ABORTS = (BlowUpError, MonotonicityError, FloatingPointError, SupportOverflowError, DegeneratePlaneError)
 
 
 # -- artifact helpers -------------------------------------------------------------
@@ -89,6 +86,34 @@ def write_csv(path, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _record_series(path: str, header: list[str], every: int, state, row, advance):
+    """(final state, rows) of advance(state, on_step), with the series written to path.
+
+    advance runs the integrator from state, calling on_step(n, s) after step n.
+    The rows are row(0, state), row(n, s) after every `every`-th step (none if
+    every is 0), and the final state's row once.  A numerical abort writes the
+    rows so far before it propagates.
+    """
+    rows = [row(0, state)]
+    n_last = 0
+
+    def on_step(n: int, s) -> None:
+        nonlocal n_last
+        n_last = n
+        if every and n % every == 0:
+            rows.append(row(n, s))
+
+    try:
+        state = advance(state, on_step)
+    except _ABORTS:
+        write_csv(path, header, rows)
+        raise
+    if not every or n_last % every:
+        rows.append(row(n_last, state))
+    write_csv(path, header, rows)
+    return state, rows
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -173,27 +198,18 @@ def _exp_simulate2d(cfg: RunConfig, outdir: str, seed: int) -> dict:
     every = cfg.get("output", "series_every", 10)
     ckpt_every = cfg.get("output", "checkpoint_every", 0)
 
-    state = initial_state(cfg, grid, alpha, seed)
-    rows = []
+    def advance(state: VorticityState, record) -> VorticityState:
+        def on_step(n: int, s: VorticityState) -> None:
+            record(n, s)
+            if ckpt_every and n % ckpt_every == 0:
+                write_checkpoint(s, os.path.join(outdir, f"state_{n:06d}.ckpt"), "simulate2d", mode.nu)
 
-    def record(s: VorticityState):
-        rows.append((s.t, energy_alpha(s), *casimirs(s.q, 4)))
+        return run(state, dt, T, mode, on_step)
 
-    record(state)
-    n_steps = max(1, round(T / dt))
-    try:
-        for step in range(1, n_steps + 1):
-            state = step_rk4(state, dt, mode)
-            if every and step % every == 0:
-                record(state)
-            if ckpt_every and step % ckpt_every == 0:
-                write_checkpoint(state, os.path.join(outdir, f"state_{step:06d}.ckpt"), "simulate2d", mode.nu)
-    except BlowUpError as e:
-        write_csv(os.path.join(outdir, "series.csv"), _SERIES2D_HEADER, rows)
-        raise RunAborted(str(e), e.t_last_good) from None
-    if rows[-1][0] != state.t:
-        record(state)
-    write_csv(os.path.join(outdir, "series.csv"), _SERIES2D_HEADER, rows)
+    state, rows = _record_series(
+        os.path.join(outdir, "series.csv"), _SERIES2D_HEADER, every, initial_state(cfg, grid, alpha, seed),
+        lambda n, s: (s.t, energy_alpha(s), *casimirs(s.q, 4)), advance,
+    )
     write_checkpoint(state, os.path.join(outdir, "final.ckpt"), "simulate2d", mode.nu)
     first, last = rows[0], rows[-1]
     diag = {"t_final": state.t, "energy_final": last[1]}
@@ -224,29 +240,14 @@ def _exp_blob(cfg: RunConfig, outdir: str, seed: int) -> dict:
     T = cfg.get("time", "t_final", 10.0)
     every = cfg.get("output", "series_every", 100)
 
-    ens = blob_ring(n, radius, gamma, alpha)
-    rows = []
-    counter = {"i": 0}
-
-    def record(e: BlobEnsemble, t: float):
+    def row(n: int, e: BlobEnsemble) -> tuple:
         d = blob_diagnostics(e)
-        rows.append((t, d["hamiltonian"], *d["linear_impulse"], d["angular_impulse"], d["total_circulation"]))
+        return (n * dt, d["hamiltonian"], *d["linear_impulse"], d["angular_impulse"], d["total_circulation"])
 
-    record(ens, 0.0)
-    n_steps = max(1, round(T / dt))
-
-    def on_step(e):
-        counter["i"] += 1
-        if every and counter["i"] % every == 0:
-            record(e, counter["i"] * dt)
-
-    ens = run_blobs(ens, dt, T, on_step=on_step)
-    if every == 0 or counter["i"] % every:
-        record(ens, n_steps * dt)
-    write_csv(
+    ens, rows = _record_series(
         os.path.join(outdir, "series.csv"),
         ["t_time", "hamiltonian", "impulse_x", "impulse_y", "angular_impulse", "total_circulation"],
-        rows,
+        every, blob_ring(n, radius, gamma, alpha), row, lambda e, on_step: run_blobs(e, dt, T, on_step),
     )
     first, last = np.asarray(rows[0]), np.asarray(rows[-1])
     # physical scales: conserved components can start at roundoff-zero
@@ -287,22 +288,11 @@ def _exp_ch(cfg: RunConfig, outdir: str, seed: int) -> dict:
         else:
             x = np.arange(n) * (2.0 * math.pi / n)
             state = CHState(amp * np.sin(m * x), "periodic")
-        rows = [(0.0, ch_energy(state), float(np.abs(state.u).max()))]
-        counter = {"i": 0}
-
-        def on_step(s):
-            counter["i"] += 1
-            if every and counter["i"] % every == 0:
-                rows.append((s.t, ch_energy(s), float(np.abs(s.u).max())))
-
-        try:
-            state = run_ch(state, dt, T, on_step=on_step)
-        except MonotonicityError as e:
-            write_csv(os.path.join(outdir, f"series_{this_bc}.csv"), _CH_HEADER, rows)
-            raise RunAborted(str(e), e.t) from None
-        if rows[-1][0] != state.t:
-            rows.append((state.t, ch_energy(state), float(np.abs(state.u).max())))
-        write_csv(os.path.join(outdir, f"series_{this_bc}.csv"), _CH_HEADER, rows)
+        _, rows = _record_series(
+            os.path.join(outdir, f"series_{this_bc}.csv"), _CH_HEADER, every, state,
+            lambda n, s: (s.t, ch_energy(s), float(np.abs(s.u).max())),
+            lambda s, on_step: run_ch(s, dt, T, on_step),
+        )
         diag[f"energy_drift_rel_{this_bc}"] = abs(rows[-1][1] - rows[0][1]) / rows[0][1]
     return diag
 
@@ -534,8 +524,7 @@ def run_experiment(cfg: RunConfig, outdir: str, seed: int = 0, threads: int = 1)
             if driver is None:
                 raise ConfigError(f"unknown experiment {cfg.experiment!r}")
             diag = driver(cfg, outdir, seed)
-    except (RunAborted, BlowUpError, MonotonicityError, FloatingPointError, SupportOverflowError,
-            DegeneratePlaneError) as e:  # a ValueError, but a numerical outcome: caught first
+    except _ABORTS as e:  # caught before ValueError, which DegeneratePlaneError is
         t_last = getattr(e, "t_last_good", getattr(e, "t", float("nan")))
         write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e), "t_last_good": t_last})
         return 2

@@ -108,9 +108,9 @@ class TestDynamics:
     def test_backward_run_returns_to_start(self):
         ens = blob_ring(4, 1.0, 1.0, 0.3)
         steps = []
-        fwd = run_blobs(ens, 1e-3, 0.5, on_step=steps.append)
-        back = run_blobs(fwd, -1e-3, 0.5, on_step=steps.append)
-        assert len(steps) == 1000  # round(|T / dt|) steps each way
+        fwd = run_blobs(ens, 1e-3, 0.5, on_step=lambda n, e: steps.append(n))
+        back = run_blobs(fwd, -1e-3, 0.5, on_step=lambda n, e: steps.append(n))
+        assert steps == 2 * list(range(1, 501))  # round(|T / dt|) steps each way
         assert np.abs(back.positions - ens.positions).max() < 1e-15
 
     def test_zero_dt_run_rejected(self):

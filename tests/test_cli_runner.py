@@ -221,6 +221,26 @@ class TestNumericalAbort:
         assert float(manifest["t_last_good"]) == pytest.approx(4e-3)
 
 
+    def test_ch_blow_up_is_exit_2_with_the_rows_so_far(self, tmp_path, capsys):
+        """Non-finite velocity in the CH integrator is a numerical abort, not bad input."""
+        cfg_path = tmp_path / "ch.cfg"
+        cfg_path.write_text(
+            "[run]\nexperiment = ch\n[experiment]\nn = 64\nbc = periodic\n[ic]\namp = 50\nk = 3\n"
+            "[time]\ndt = 0.05\nt_final = 5\n[output]\nseries_every = 1\n"
+        )
+        out = tmp_path / "ch"
+        with np.errstate(all="ignore"):
+            assert main(["ch", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "error:" not in capsys.readouterr().err
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert manifest["abort_reason"].startswith("blow-up detected")
+        t_last = float(manifest["t_last_good"])
+        t = np.loadtxt(out / "series_periodic.csv", delimiter=",", skiprows=1)[:, 0]
+        assert 0.0 < t_last < 5.0
+        assert t == pytest.approx(np.arange(len(t)) * 0.05) and t[-1] == pytest.approx(t_last)
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "name, experiment", [("conservation_128.cfg", "simulate2d"), ("flowmap_transport.cfg", "flowmap")]

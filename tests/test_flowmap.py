@@ -239,15 +239,73 @@ def predecessor_rk4_particles(pos_flat, source, t, dt):
     return pos_flat + (dt / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
 
 
+# -- the hand-written loops that integrate.march replaced, kept as bitwise oracles --
+
+
+def predecessor_advect_flow_map(source, fmap, dt, T):
+    m = fmap.m
+    pos = fmap.positions.reshape(m * m, 2).copy()
+    t = fmap.t
+    for _ in range(max(1, round(T / dt))):
+        pos = predecessor_rk4_particles(pos, source, t, dt)
+        t += dt
+        if not np.isfinite(pos).all():
+            raise FloatingPointError(f"particle positions lost finiteness at t={t:g}")
+    return fmap.with_positions(pos.reshape(m, m, 2), t)
+
+
+def predecessor_co_advect(state, mode, dt, T, fmap):
+    m = fmap.m
+    pos = fmap.positions.reshape(m * m, 2).copy()
+    n_steps = max(1, round(T / dt))
+    u_prev = state.velocity()
+    t0 = state.t
+    for _ in range(n_steps):
+        new_state = dynamics.step_rk4(state, dt, mode)
+        u_next = new_state.velocity()
+        source = SnapshotVelocity(state.t, dt, [u_prev, u_next])
+        pos = predecessor_rk4_particles(pos, source, state.t, dt)
+        state, u_prev = new_state, u_next
+    return state, fmap.with_positions(pos.reshape(m, m, 2), t0 + n_steps * dt)
+
+
+def assert_same_flow_map(new, old):
+    assert new.positions.tobytes() == old.positions.tobytes()
+    assert np.float64(new.t).tobytes() == np.float64(old.t).tobytes()
+
+
 class TestFoldOncePerStep:
-    def test_co_advect_matches_predecessor_bitwise(self, monkeypatch):
+    def test_co_advect_matches_predecessor_bitwise(self):
         g = make_grid(32, 32)
-        run_once = lambda: co_advect(two_mode_setup(g), DissipationMode.inviscid(), 1e-3, 5e-3, make_lattice(g, 16))
-        new_state, new = run_once()
-        monkeypatch.setattr(flowmap, "_rk4_particles", predecessor_rk4_particles)
-        old_state, old = run_once()
-        assert new.positions.tobytes() == old.positions.tobytes()
+        args = (DissipationMode.inviscid(), 1e-3, 5e-3, make_lattice(g, 16))
+        new_state, new = co_advect(two_mode_setup(g), *args)
+        old_state, old = predecessor_co_advect(two_mode_setup(g), *args)
+        assert_same_flow_map(new, old)
         assert new_state.q.coeffs.tobytes() == old_state.q.coeffs.tobytes()
+        assert new_state.t == old_state.t
+
+    @pytest.mark.parametrize("dt, T", [(1e-3, 1e-3), (2e-3, 7e-3), (1e-3, 4.6e-3)])
+    def test_co_advect_loop_from_a_later_state(self, dt, T):
+        """A state and a lattice that start at t > 0, and T that is not a whole number of steps."""
+        g = make_grid(24, 40)
+        state = run(two_mode_setup(g), 1e-3, 3e-3, DissipationMode.viscous(0.01))
+        fmap = make_lattice(g, 8)
+        fmap = fmap.with_positions(fmap.positions + 0.1, 0.25)
+        args = (DissipationMode.viscous(0.01), dt, T, fmap)
+        new_state, new = co_advect(state, *args)
+        old_state, old = predecessor_co_advect(state, *args)
+        assert_same_flow_map(new, old)
+        assert new_state.q.coeffs.tobytes() == old_state.q.coeffs.tobytes()
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_advect_flow_map_matches_predecessor_bitwise(self, frozen):
+        g = make_grid(16, 16)
+        u0, u1, u2 = (c * shear_field(g) + stream_mode(g, (1, 1), 0.3) for c in (1.0, 1.5, -0.5))
+        source = FrozenVelocity(u0) if frozen else SnapshotVelocity(0.3, 0.1, [u0, u1, u2])
+        fmap = make_lattice(g, 8)
+        fmap = fmap.with_positions(fmap.positions, 0.3)  # the parent's accumulated t carries on
+        new = advect_flow_map(source, fmap, 0.03, 0.2)
+        assert_same_flow_map(new, predecessor_advect_flow_map(source, fmap, 0.03, 0.2))
 
     def test_each_distinct_field_folded_once(self, monkeypatch):
         fold = flowmap._folded
@@ -360,6 +418,12 @@ class TestExponentialMaps:
         m1 = exponential_map(u, 0.4, "riemannian", 1e-3, alpha=a, m=8)
         m2 = exponential_map(2.0 * u, 0.2, "riemannian", 5e-4, alpha=a, m=8)
         assert flow_map_distance(m1, m2) < 1e-9
+
+
+def test_co_advect_zero_dt_rejected():
+    g = make_grid(16, 16)
+    with pytest.raises(ValueError, match="dt"):
+        co_advect(two_mode_setup(g), DissipationMode.inviscid(), 0.0, 1e-2, make_lattice(g, 8))
 
 
 def test_co_advect_checks_cfl_every_step(monkeypatch):

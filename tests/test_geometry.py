@@ -604,6 +604,12 @@ class TestJacobiEvolve:
         traj = jacobi_evolve(u0, y0, zero_field(g, "vector"), 0.1, 2e-3, a)
         assert divergence_defect(traj.y_final) < 1e-11
 
+    def test_zero_dt_rejected(self):
+        g = make_grid(16, 16)
+        z = zero_field(g, "vector")
+        with pytest.raises(ValueError, match="dt"):
+            jacobi_evolve(stream_mode(g, (0, 1)), z, z, 0.1, 0.0, AlphaParam(0.3))
+
 
 def predecessor_tangent_rhs(q, dq, w, alpha, mean_u):
     """Time derivatives of (q, delta q, w) for the coupled linearized system."""

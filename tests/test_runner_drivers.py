@@ -197,3 +197,25 @@ def test_visc_limit_follows_ic_kind(tmp_path):
         assert run_experiment(parse_config(VISC_LIMIT.format(kind=kind)), str(out), seed=0) == 0
         summaries[kind] = (out / "summary.csv").read_bytes()
     assert summaries["single_mode"] != summaries["two_mode"]
+
+
+# ten steps of dt = 0.01 in each driver that writes a time series
+SERIES_RUNS = {
+    "simulate2d": ("[grid]\nnx = 16\nny = 16\n", "series.csv"),
+    "blob": ("[ic]\nn_blobs = 3\n", "series.csv"),
+    "ch": ("[experiment]\nn = 32\nbc = periodic\n", "series_periodic.csv"),
+}
+
+
+@pytest.mark.parametrize("every, n_rows", [(0, 2), (5, 3), (3, 5)])  # 0 and 10; 0, 5, 10; 0, 3, 6, 9, 10
+@pytest.mark.parametrize("experiment", sorted(SERIES_RUNS))
+def test_series_rows(tmp_path, experiment, every, n_rows):
+    """The start, every `every`-th step, and the final state exactly once."""
+    sections, name = SERIES_RUNS[experiment]
+    text = f"[run]\nexperiment = {experiment}\n{sections}[time]\ndt = 0.01\nt_final = 0.1\n"
+    _, out = launch(tmp_path, text + f"[output]\nseries_every = {every}\n")
+    t = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    assert len(t) == n_rows
+    assert t[0] == 0.0
+    assert np.all(np.diff(t) > 0.0)
+    assert t[-1] == pytest.approx(0.1, abs=1e-15)
