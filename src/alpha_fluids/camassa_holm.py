@@ -144,7 +144,9 @@ def step_ch_rk4(state: CHState, dt: float) -> CHState:
 
 
 def run_ch(state: CHState, dt: float, T: float, on_step=None) -> CHState:
-    return march(step_ch_rk4, state, dt, T, on_step)
+    """integrate.march of step_ch_rk4; a non-finite step raises BlowUpError, so numpy's warnings are silenced."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return march(step_ch_rk4, state, dt, T, on_step)
 
 
 def ch_energy(state: CHState) -> float:

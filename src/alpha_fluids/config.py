@@ -56,6 +56,11 @@ def _nonneg(v):
         raise ValueError("must be >= 0 and finite")
 
 
+def _viscosities(v):
+    if len(set(v)) < 2 or not all(x > 0.0 and math.isfinite(x) for x in v):
+        raise ValueError("must hold at least two distinct positive, finite viscosities")
+
+
 def _any(v):
     return None
 
@@ -110,8 +115,8 @@ _SCHEMA = {
     },
     "experiment": {
         # shared tuning knobs for the specialty drivers
-        "nus": ("floats", _any),
-        "variants": ("str", _any),
+        "nus": ("floats", _viscosities),
+        "variants": ("str", _choice("viscous", "strong", "both")),
         "eps": ("ints", _any),
         "alphas": ("floats", _any),
         "epsilons": ("floats", _any),

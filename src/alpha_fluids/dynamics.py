@@ -13,8 +13,9 @@ holds no mean-flow information.
 
 A right-hand side makes one transform pair: (u_x, u_y, dx q, dy q) go to the
 grid in one inverse transform, u . grad q comes back in one forward transform.
-Multipliers and the 2/3 mask are cached read-only per (grid, alpha^2), and
-every operation rounds as the field-by-field formulation did, bit for bit.
+Multipliers and the 2/3 mask come from spectral's tables, the stages call
+the gradient kernels that spectral.derivative wraps, and every operation
+rounds as the field-by-field formulation did, bit for bit.
 
 The third-grade extension, whose cubic stress term has no compact vorticity
 form, is integrated in primitive (momentum) variables with Leray projection.
@@ -22,11 +23,9 @@ form, is integrated in primitive (momentum) variables with Leray projection.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +41,10 @@ from .spectral import (
     dealias_two_thirds,
     derivative,
     grad_components,
+    gradient_into,
     hermitianize,
+    perp_gradient_into,
+    smoothing,
     sum_modes,
     to_physical,
     to_physical_padded,
@@ -160,43 +162,11 @@ def state_from_velocity(u: SpectralField, alpha: AlphaParam) -> VorticityState:
     return VorticityState(q, alpha, 0.0, u.coeffs[:, 0, 0].real + 0.0)
 
 
-class _Tables(NamedTuple):
-    """Read-only multipliers of one grid and alpha^2 on the coefficient half; the real
-    ones are stored cast to complex, as numpy would cast them on every call."""
-
-    smooth: np.ndarray     # 1 + alpha^2 |k|^2
-    neg_ksq: np.ndarray    # -|k|^2 with -1 at k = 0
-    laplacian: np.ndarray  # -|k|^2
-    ikx: np.ndarray
-    iky: np.ndarray
-    neg_iky: np.ndarray
-    drop: np.ndarray       # the modes the 2/3 rule zeroes
-
-
-@functools.lru_cache(maxsize=16)
-def _tables(g: TorusGrid2D, alpha_sq: float) -> _Tables:
-    keep = (np.abs(g.jx)[:, None] <= g.nx // 3) & (np.abs(g.jy)[None, :] <= g.ny // 3)
-    real = (1.0 + alpha_sq * g.k_sq, -np.where(g.k_sq > 0.0, g.k_sq, 1.0), -g.k_sq)
-    t = _Tables(*(a.astype(np.complex128) for a in real), 1j * g.kx, 1j * g.ky, -1j * g.ky, ~keep)
-    for a in t:
-        a.flags.writeable = False
-    return t
-
-
-def _gradient(out: np.ndarray, c: np.ndarray, t: _Tables) -> None:
-    """(dx c, dy c) into out[0], out[1], Nyquist zeroed; c holds one or more scalars' coefficients."""
-    np.multiply(t.ikx, c, out=out[0])
-    np.multiply(t.iky, c, out=out[1])
-    _zero_nyquist(out)
-
-
-def _invert(out: np.ndarray, q: np.ndarray, t: _Tables, mean_velocity) -> np.ndarray:
+def _invert(out: np.ndarray, q: np.ndarray, g: TorusGrid2D, alpha: AlphaParam, mean_velocity) -> np.ndarray:
     """u = perp_grad Lap^{-1} omega, omega = (1 - alpha^2 Lap)^{-1} q, into out (2, nx, ny/2 + 1); returns omega."""
-    omega = q / t.smooth
-    psi = np.divide(omega, t.neg_ksq, out=out[1])  # psi at k = 0 is unused: u's mean is set below
-    np.multiply(t.neg_iky, psi, out=out[0])
-    np.multiply(t.ikx, psi, out=out[1])
-    _zero_nyquist(out)
+    omega = q / smoothing(g, alpha.alpha_sq)
+    # psi in out[1]; psi at k = 0 is unused: u's mean is set below
+    perp_gradient_into(out, np.divide(omega, g.neg_k_sq_safe, out=out[1]), g)
     out[:, 0, 0] = mean_velocity
     return omega
 
@@ -205,7 +175,7 @@ def velocity_from_q(q: SpectralField, alpha: AlphaParam, mean_velocity=(0.0, 0.0
     """Invert q -> u: omega = (1-a^2 Lap)^{-1} q, Lap psi = omega, u = perp_grad psi."""
     g = q.grid
     u = np.empty((2,) + g.coeff_shape, dtype=np.complex128)
-    _invert(u, q.coeffs, _tables(g, alpha.alpha_sq), mean_velocity)
+    _invert(u, q.coeffs, g, alpha, mean_velocity)
     return SpectralField._adopt(g, u)
 
 
@@ -216,19 +186,18 @@ def rhs_vorticity(state: VorticityState, mode: DissipationMode) -> SpectralField
     of the product; the velocity samples fill the state's cache.
     """
     g, q = state.grid, state.q.coeffs
-    t = _tables(g, state.alpha.alpha_sq)
     stack = np.empty((4,) + g.coeff_shape, dtype=np.complex128)
-    omega = _invert(stack[:2], q, t, state.mean_velocity)
-    _gradient(stack[2:], q, t)
+    omega = _invert(stack[:2], q, g, state.alpha, state.mean_velocity)
+    gradient_into(stack[2:], q, g)
     p = to_physical(FieldStack(g, stack))
     state._cache["u_samples"] = p[:2]
     prod = np.multiply(p[2], p[0], out=p[2])  # u . grad q in place of grad q
     prod += np.multiply(p[3], p[1], out=p[3])
     out = to_spectral_padded(g, prod)
-    np.copyto(out, 0.0, where=t.drop)
+    np.copyto(out, 0.0, where=g.drop_two_thirds)
     np.multiply(out, -1.0, out=out)
     if mode.variant != "inviscid":
-        lap = t.laplacian * (omega if mode.variant == "viscous" else q)
+        lap = g.laplacian * (omega if mode.variant == "viscous" else q)
         _zero_nyquist(lap)
         lap *= mode.nu
         out += lap
@@ -270,7 +239,7 @@ def step_rk4(state: VorticityState, dt: float, mode: DissipationMode, check_cfl:
         return rhs_vorticity(state.with_q(SpectralField._adopt(q.grid, c), ts), mode).coeffs
 
     acc = rk4(f, t, q.coeffs, dt, k1.coeffs)
-    np.copyto(acc, 0.0, where=_tables(q.grid, state.alpha.alpha_sq).drop)
+    np.copyto(acc, 0.0, where=q.grid.drop_two_thirds)
     scale = np.abs(acc).max()
     if not np.isfinite(scale) or scale > BLOWUP_LIMIT:
         raise BlowUpError(t)
@@ -310,7 +279,7 @@ def casimirs(q: SpectralField, nmax: int) -> list[float]:
 def energy_alpha(state: VorticityState) -> float:
     """E = (1/2) <u, u>_alpha = (1/2) S sum_k (1 + alpha^2 |k|^2) |uhat|^2."""
     u = state.velocity()
-    w = 1.0 + state.alpha.alpha_sq * state.grid.k_sq
+    w = smoothing(state.grid, state.alpha.alpha_sq).real
     return 0.5 * state.grid.area * sum_modes(state.grid, w * np.abs(u.coeffs) ** 2)
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _gradient, _invert, _tables, state_from_velocity, velocity_from_q
+from .dynamics import _invert, state_from_velocity, velocity_from_q
 from .helmholtz import helmholtz_inverse, leray_project
 from .integrate import march, rk4
 from .spectral import (
@@ -33,6 +33,7 @@ from .spectral import (
     cosine_field,
     dealias_two_thirds,
     derivative,
+    gradient_into,
     inner_product_alpha,
     norm_alpha,
     to_physical,
@@ -173,7 +174,7 @@ def lie_bracket(x: SpectralField, y: SpectralField) -> SpectralField:
 
 def _smoothed_divergence(g: TorusGrid2D, S: np.ndarray, alpha: AlphaParam) -> SpectralField:
     """alpha^2 (1 - alpha^2 L)^{-1} div S for the tensor S stacked as S[2i+j] = S_ij."""
-    vec = 1j * g.kx * S[0::2] + 1j * g.ky * S[1::2]
+    vec = g.ikx * S[0::2] + g.iky * S[1::2]
     return alpha.alpha_sq * helmholtz_inverse(SpectralField._adopt(g, vec), alpha)
 
 
@@ -372,14 +373,13 @@ def _tangent_rhs(g: TorusGrid2D, y: np.ndarray, alpha, mean_u) -> np.ndarray:
     grad w^i and w to the grid; one forward transform brings back
     -u.grad q, -(u.grad dq + du.grad q) and w_dot - delta u = (w.grad) u - (u.grad) w.
     """
-    t = _tables(g, alpha.alpha_sq)
     s = np.empty((18,) + g.coeff_shape, dtype=np.complex128)
-    _invert(s[0:2], y[0], t, mean_u)
-    _invert(s[2:4], y[1], t, (0.0, 0.0))
-    _gradient(s[4:6], y[0], t)
-    _gradient(s[6:8], y[1], t)
-    _gradient(s[8:12].reshape((2, 2) + g.coeff_shape), s[0:2], t)  # d_m u^i at 8 + 2m + i
-    _gradient(s[12:16].reshape((2, 2) + g.coeff_shape), y[2:], t)
+    _invert(s[0:2], y[0], g, alpha, mean_u)
+    _invert(s[2:4], y[1], g, alpha, (0.0, 0.0))
+    gradient_into(s[4:6], y[0], g)
+    gradient_into(s[6:8], y[1], g)
+    gradient_into(s[8:12].reshape((2, 2) + g.coeff_shape), s[0:2], g)  # d_m u^i at 8 + 2m + i
+    gradient_into(s[12:16].reshape((2, 2) + g.coeff_shape), y[2:], g)
     s[16:18] = y[2:]
     p = to_physical(FieldStack(g, s))
     up, dup, gq, gdq, wp = p[0:2], p[2:4], p[4:6], p[6:8], p[16:18]
@@ -390,7 +390,7 @@ def _tangent_rhs(g: TorusGrid2D, y: np.ndarray, alpha, mean_u) -> np.ndarray:
     for i in range(2):
         out[2 + i] = wp[0] * gu[0][i] + wp[1] * gu[1][i] - (up[0] * gw[0][i] + up[1] * gw[1][i])
     c = to_spectral_padded(g, out)
-    np.copyto(c, 0.0, where=t.drop)
+    np.copyto(c, 0.0, where=g.drop_two_thirds)
     c[2:] += s[2:4]
     return c
 

@@ -1,6 +1,7 @@
 """Smoothing inverses, Leray/Stokes projections, and the 1D Dirichlet solve.
 
-On the flat torus every operator here is a Fourier multiplier.  The Stokes
+On the flat torus every operator here is a Fourier multiplier, read from the
+tables that spectral keeps per grid (smoothing per grid and alpha^2).  The Stokes
 projector is assembled through its defining saddle problem rather than as a
 shortcut through the Leray multiplier, so the per-mode equivalence of the two
 projections is a checkable fact, not a definition.
@@ -13,17 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .spectral import AlphaParam, SpectralField
+from .spectral import AlphaParam, SpectralField, smoothing
 
 
 def helmholtz_apply(f: SpectralField, alpha: AlphaParam) -> SpectralField:
     """(1 - alpha^2 Laplacian) f, componentwise multiplier 1 + alpha^2 |k|^2."""
-    return SpectralField._adopt(f.grid, (1.0 + alpha.alpha_sq * f.grid.k_sq) * f.coeffs)
+    return SpectralField._adopt(f.grid, smoothing(f.grid, alpha.alpha_sq) * f.coeffs)
 
 
 def helmholtz_inverse(f: SpectralField, alpha: AlphaParam) -> SpectralField:
     """(1 - alpha^2 Laplacian)^{-1} f; uniformly invertible for alpha >= 0."""
-    return SpectralField._adopt(f.grid, f.coeffs / (1.0 + alpha.alpha_sq * f.grid.k_sq))
+    return SpectralField._adopt(f.grid, f.coeffs / smoothing(f.grid, alpha.alpha_sq))
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -35,8 +36,7 @@ def leray_project(u: SpectralField) -> SpectralField:
     if not u.is_vector:
         raise ValueError("leray_project expects a vector field")
     g = u.grid
-    ksq = np.where(g.k_sq > 0.0, g.k_sq, 1.0)
-    kdot = (g.kx * u.coeffs[0] + g.ky * u.coeffs[1]) / ksq
+    kdot = (g.kx * u.coeffs[0] + g.ky * u.coeffs[1]) / g.k_sq_safe
     out = np.stack([u.coeffs[0] - g.kx * kdot, u.coeffs[1] - g.ky * kdot])
     out[:, 0, 0] = u.coeffs[:, 0, 0]
     return SpectralField._adopt(g, out)
@@ -57,16 +57,15 @@ def stokes_project(F: SpectralField, alpha: AlphaParam) -> SpectralField:
         raise ValueError("stokes_project expects a vector field")
     g = F.grid
     a2 = alpha.alpha_sq
-    m = 1.0 + a2 * g.k_sq
+    m = smoothing(g, a2)
     kdotF = g.kx * F.coeffs[0] + g.ky * F.coeffs[1]
     # rhs g = (1 - a2 L) F = m F + a2 k (k.F)   (the grad-div part adds a2 k (k.F))
     g0 = m * F.coeffs[0] + a2 * g.kx * kdotF
     g1 = m * F.coeffs[1] + a2 * g.ky * kdotF
     # pressure from div v = 0: i |k|^2 phat = (1 + 2 a2 |k|^2)(k.F)
-    ksq = np.where(g.k_sq > 0.0, g.k_sq, 1.0)
-    phat = -1j * (1.0 + 2.0 * a2 * g.k_sq) * kdotF / ksq
-    v0 = (g0 - 1j * g.kx * phat) / m
-    v1 = (g1 - 1j * g.ky * phat) / m
+    phat = -1j * (1.0 + 2.0 * a2 * g.k_sq) * kdotF / g.k_sq_safe
+    v0 = (g0 - g.ikx * phat) / m
+    v1 = (g1 - g.iky * phat) / m
     out = np.stack([v0, v1])
     out[:, 0, 0] = F.coeffs[:, 0, 0]
     return SpectralField._adopt(g, out)

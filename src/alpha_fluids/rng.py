@@ -1,4 +1,4 @@
-"""Seeded, splittable pseudo-random stream for reproducible experiments.
+"""Seeded pseudo-random stream for reproducible experiments.
 
 SplitMix64 (documented so independent implementations produce identical
 streams):
@@ -9,8 +9,6 @@ streams):
     output <- z ^ (z >> 31)
 
 uniform() maps the top 53 bits to [0, 1): (output >> 11) * 2^-53.
-split(tag) seeds a child stream with next_u64() XOR (tag * GOLDEN), letting
-parallel runs draw independent, reproducible streams from one root seed.
 """
 
 from __future__ import annotations
@@ -37,15 +35,6 @@ class SplitMix64:
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
-
-    def normal(self) -> float:
-        """Box-Muller from two uniforms (the first clamped away from 0)."""
-        u1 = max(self.uniform(), 2.0**-53)
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def split(self, tag: int = 1) -> "SplitMix64":
-        return SplitMix64(self.next_u64() ^ ((int(tag) * _GOLDEN) & _MASK))
 
 
 def random_modes(rng: SplitMix64, kmax: int, slope: float) -> dict:

@@ -116,6 +116,13 @@ def _record_series(path: str, header: list[str], every: int, state, row, advance
     return state, rows
 
 
+def _drift_rel(first: float, last: float, scale: float) -> float:
+    """|last - first| / scale; a zero scale reads 0.0 when the values agree, otherwise inf."""
+    if scale == 0.0:
+        return 0.0 if last == first else math.inf
+    return abs(last - first) / scale
+
+
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(cfg.serialize().encode("utf-8")).hexdigest()
 
@@ -213,11 +220,11 @@ def _exp_simulate2d(cfg: RunConfig, outdir: str, seed: int) -> dict:
     write_checkpoint(state, os.path.join(outdir, "final.ckpt"), "simulate2d", mode.nu)
     first, last = rows[0], rows[-1]
     diag = {"t_final": state.t, "energy_final": last[1]}
-    diag["energy_drift_rel"] = abs(last[1] - first[1]) / abs(first[1])
+    diag["energy_drift_rel"] = _drift_rel(first[1], last[1], abs(first[1]))
     scale2 = first[2 + 1]  # integral(q^2)
     for n in range(1, 5):
         scale = max(abs(first[1 + n]), scale2 ** (n / 2.0))
-        diag[f"casimir_{n}_drift_rel"] = abs(last[1 + n] - first[1 + n]) / scale
+        diag[f"casimir_{n}_drift_rel"] = _drift_rel(first[1 + n], last[1 + n], scale)
     return diag
 
 
@@ -263,12 +270,12 @@ def _exp_blob(cfg: RunConfig, outdir: str, seed: int) -> dict:
             max(abs(first[5]), gam_abs),
         ]
     )
-    drifts = np.abs(last - first) / scales
+    drifts = [float(_drift_rel(*v)) for v in zip(first, last, scales)]
     return {
-        "hamiltonian_drift_rel": float(drifts[1]),
-        "impulse_drift_rel": float(drifts[2:4].max()),
-        "angular_impulse_drift_rel": float(drifts[4]),
-        "circulation_drift_rel": float(drifts[5]),
+        "hamiltonian_drift_rel": drifts[1],
+        "impulse_drift_rel": max(drifts[2:4]),
+        "angular_impulse_drift_rel": drifts[4],
+        "circulation_drift_rel": drifts[5],
     }
 
 
@@ -293,7 +300,7 @@ def _exp_ch(cfg: RunConfig, outdir: str, seed: int) -> dict:
             lambda n, s: (s.t, ch_energy(s), float(np.abs(s.u).max())),
             lambda s, on_step: run_ch(s, dt, T, on_step),
         )
-        diag[f"energy_drift_rel_{this_bc}"] = abs(rows[-1][1] - rows[0][1]) / rows[0][1]
+        diag[f"energy_drift_rel_{this_bc}"] = _drift_rel(rows[0][1], rows[-1][1], rows[0][1])
     return diag
 
 

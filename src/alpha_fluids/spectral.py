@@ -21,6 +21,10 @@ Conventions
   self-conjugate columns jy = 0 and ny/2, c[jx] = conj(c[-jx]), so its
   output is exactly Hermitian; real linear combinations and the i*k and
   |k|^2 multipliers keep it so.  hermitianize acts on those columns only.
+* Every Fourier multiplier and mask is a read-only table on the grid (i kx,
+  i ky, -i ky, -|k|^2, the safe |k|^2, the 2/3 and 1/2 drop masks, the mirror
+  rows -jx) or, for 1 + alpha^2 |k|^2, cached per (grid, alpha^2) by
+  smoothing(); every torus operator reads them and builds none.
 
 Fields are immutable values; all operations return new fields.  Results of
 this module's operations own fresh read-only arrays; the public constructor
@@ -29,6 +33,7 @@ copies a caller's writeable array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -40,7 +45,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class TorusGrid2D:
-    """Collocation grid on [0,Lx) x [0,Ly) with precomputed wavenumber tables."""
+    """Collocation grid on [0,Lx) x [0,Ly) with its wavenumber, multiplier and mask tables."""
 
     def __init__(self, nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI):
         if nx < 4 or ny < 4:
@@ -61,8 +66,20 @@ class TorusGrid2D:
         self.kx = (TWO_PI / self.Lx) * self.jx[:, None].astype(float)
         self.ky = (TWO_PI / self.Ly) * self.jy[None, :].astype(float)
         self.k_sq = self.kx**2 + self.ky**2
-        for a in (self.jx, self.jy, self.kx, self.ky, self.k_sq):
-            a.flags.writeable = False
+        self.k_sq_safe = np.where(self.k_sq > 0.0, self.k_sq, 1.0)  # a divisor: 1 at k = 0
+        # the multipliers of every operator; the real ones are stored cast to
+        # complex, as numpy casts them against coefficients, which keeps its bits
+        self.ikx, self.iky, self.neg_iky = 1j * self.kx, 1j * self.ky, -1j * self.ky
+        self.laplacian = (-self.k_sq).astype(np.complex128)
+        self.neg_k_sq_safe = (-self.k_sq_safe).astype(np.complex128)
+        # the modes the 2/3 and 1/2 rules zero, and the row of mode -jx
+        ajx, ajy = np.abs(self.jx)[:, None], np.abs(self.jy)[None, :]
+        self.drop_two_thirds = (ajx > nx // 3) | (ajy > ny // 3)
+        self.drop_half = (ajx > (nx - 1) // 4) | (ajy > (ny - 1) // 4)
+        self.neg_jx = -self.jx
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def area(self) -> float:
@@ -91,6 +108,14 @@ class TorusGrid2D:
 
     def __repr__(self) -> str:
         return f"TorusGrid2D({self.nx}x{self.ny}, L=({self.Lx:g},{self.Ly:g}))"
+
+
+@functools.lru_cache(maxsize=16)
+def smoothing(grid: TorusGrid2D, alpha_sq: float) -> np.ndarray:
+    """The multiplier 1 + alpha^2 |k|^2 of (1 - alpha^2 Lap), cast to complex; read-only, cached per (grid, alpha^2)."""
+    m = (1.0 + alpha_sq * grid.k_sq).astype(np.complex128)
+    m.flags.writeable = False
+    return m
 
 
 def make_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI) -> TorusGrid2D:
@@ -206,7 +231,7 @@ def to_spectral(grid: TorusGrid2D, samples: np.ndarray) -> SpectralField:
 def _symmetrize_ends(grid: TorusGrid2D, c: np.ndarray) -> np.ndarray:
     """c with the self-conjugate columns jy = 0, ny/2 set to (c[jx] + conj(c[-jx]))/2 in place."""
     ends = c[..., :: grid.ny // 2]
-    ends[...] = 0.5 * (ends + np.conj(ends[..., -grid.jx, :]))
+    ends[...] = 0.5 * (ends + np.conj(ends[..., grid.neg_jx, :]))
     return c
 
 
@@ -223,7 +248,7 @@ def to_spectral_padded(grid: TorusGrid2D, samples: np.ndarray) -> np.ndarray:
         raise ValueError(f"sample grid {(mx, my)} is smaller than {grid.shape}")
     c = scipy.fft.rfft2(samples, norm="forward")
     if (mx, my) != grid.shape:
-        c = c[..., grid.jx % mx, : grid.ny // 2 + 1]
+        c = c[..., grid.jx, : grid.ny // 2 + 1]  # a negative row jx wraps to mx + jx, mode jx
     return _symmetrize_ends(grid, c)
 
 
@@ -245,15 +270,15 @@ def to_physical_padded(f: SpectralField, shape: tuple[int, int]) -> np.ndarray:
         raise ValueError(f"padded grid {shape} is smaller than {g.shape}")
     c = f.coeffs
     h = g.ny // 2
-    mirror_rows = -g.jx % mx  # row of mode -jx on the larger grid
+    # rows of modes jx and -jx on the larger grid: a negative row j wraps to mx + j
     half = np.zeros(c.shape[:-2] + (mx, my // 2 + 1), dtype=np.complex128)
-    half[..., g.jx % mx, :h] = c[..., :h]
+    half[..., g.jx, :h] = c[..., :h]
     if my == g.ny:  # mode -ny/2 is +ny/2 on an unpadded axis
-        half[..., g.jx % mx, h] = c[..., h]
+        half[..., g.jx, h] = c[..., h]
     # the mirror term conj(c[-k]) at k = (jx, jy): c[-jx, jy] inside the half,
     # conj(c[jx, jy]) on the columns jy = 0 and ny/2, which are their own mirrors
-    half[..., mirror_rows, 1:h] += c[..., -g.jx, 1:h]
-    half[..., mirror_rows, : h + 1 : h] += np.conj(c[..., :: h])
+    half[..., g.neg_jx, 1:h] += c[..., g.neg_jx, 1:h]
+    half[..., g.neg_jx, : h + 1 : h] += np.conj(c[..., :: h])
     half *= 0.5
     return scipy.fft.irfft2(half, s=(mx, my), norm="forward")
 
@@ -280,7 +305,6 @@ def _mirror(grid: TorusGrid2D, half: np.ndarray) -> np.ndarray:
 
 # -- differentiation -----------------------------------------------------------
 
-_SCALAR_TO_SCALAR = ("x", "y", "laplacian")
 _SCALAR_TO_VECTOR = ("gradient", "perp_gradient")
 _VECTOR_TO_SCALAR = ("divergence", "curl")
 
@@ -295,34 +319,43 @@ def derivative(f: SpectralField, op: str) -> SpectralField:
     """
     g = f.grid
     c = f.coeffs
-    if op in _SCALAR_TO_SCALAR:
-        if op == "x":
-            out = 1j * g.kx * c
-        elif op == "y":
-            out = 1j * g.ky * c
-        else:
-            out = -g.k_sq * c
-    elif op in _SCALAR_TO_VECTOR:
+    if op in _SCALAR_TO_VECTOR:
         if f.is_vector:
             raise ValueError(f"{op} expects a scalar field")
         out = np.empty((2,) + c.shape, dtype=np.complex128)
-        if op == "gradient":
-            np.multiply(1j * g.kx, c, out=out[0])
-            np.multiply(1j * g.ky, c, out=out[1])
-        else:
-            np.multiply(-1j * g.ky, c, out=out[0])
-            np.multiply(1j * g.kx, c, out=out[1])
+        (gradient_into if op == "gradient" else perp_gradient_into)(out, c, g)
+        return SpectralField._adopt(g, out)
+    if op == "x":
+        out = g.ikx * c
+    elif op == "y":
+        out = g.iky * c
+    elif op == "laplacian":
+        out = g.laplacian * c
     elif op in _VECTOR_TO_SCALAR:
         if not f.is_vector:
             raise ValueError(f"{op} expects a vector field")
         if op == "divergence":
-            out = 1j * g.kx * c[0] + 1j * g.ky * c[1]
+            out = g.ikx * c[0] + g.iky * c[1]
         else:
-            out = 1j * g.kx * c[1] - 1j * g.ky * c[0]
+            out = g.ikx * c[1] - g.iky * c[0]
     else:
         raise ValueError(f"unknown derivative op {op!r}")
     _zero_nyquist(out)
     return SpectralField._adopt(g, out)
+
+
+def gradient_into(out: np.ndarray, c: np.ndarray, grid: TorusGrid2D) -> None:
+    """(dx c, dy c) into out[0], out[1], Nyquist zeroed; c holds one or more scalars' coefficients."""
+    np.multiply(grid.ikx, c, out=out[0])
+    np.multiply(grid.iky, c, out=out[1])
+    _zero_nyquist(out)
+
+
+def perp_gradient_into(out: np.ndarray, c: np.ndarray, grid: TorusGrid2D) -> None:
+    """(-dy c, dx c) into out[0], out[1], Nyquist zeroed; c may be out[1]."""
+    np.multiply(grid.neg_iky, c, out=out[0])
+    np.multiply(grid.ikx, c, out=out[1])
+    _zero_nyquist(out)
 
 
 def _zero_nyquist(c: np.ndarray) -> None:
@@ -341,16 +374,9 @@ def grad_components(u: SpectralField) -> np.ndarray:
 # -- dealiasing ----------------------------------------------------------------
 
 
-def dealias_modes(f: SpectralField, jx_max: int, jy_max: int) -> SpectralField:
-    """Zero all coefficients with |jx| > jx_max or |jy| > jy_max."""
-    g = f.grid
-    keep = (np.abs(g.jx)[:, None] <= jx_max) & (np.abs(g.jy)[None, :] <= jy_max)
-    return SpectralField._adopt(g, np.where(keep, f.coeffs, 0.0))
-
-
 def dealias_two_thirds(f: SpectralField) -> SpectralField:
-    """2/3-rule truncation for quadratic pseudospectral products."""
-    return dealias_modes(f, f.grid.nx // 3, f.grid.ny // 3)
+    """2/3-rule truncation for quadratic pseudospectral products: zero |jx| > nx/3 or |jy| > ny/3."""
+    return SpectralField._adopt(f.grid, np.where(f.grid.drop_two_thirds, 0.0, f.coeffs))
 
 
 def dealias_half(f: SpectralField) -> SpectralField:
@@ -360,7 +386,7 @@ def dealias_half(f: SpectralField) -> SpectralField:
     (support 3K <= n - 1 - K) aliases only into the zeroed band, so the
     retained coefficients are exact.
     """
-    return dealias_modes(f, (f.grid.nx - 1) // 4, (f.grid.ny - 1) // 4)
+    return SpectralField._adopt(f.grid, np.where(f.grid.drop_half, 0.0, f.coeffs))
 
 
 # -- inner products and norms ---------------------------------------------------
@@ -398,7 +424,7 @@ def inner_product_alpha(
         method = "fourier" if solenoidal else "deformation"
     g = u.grid
     if method == "fourier":
-        w = 1.0 + alpha.alpha_sq * g.k_sq
+        w = smoothing(g, alpha.alpha_sq).real
         return g.area * sum_modes(g, w * (u.coeffs * np.conj(v.coeffs)).real)
     if method != "deformation":
         raise ValueError(f"unknown method {method!r}")
@@ -432,7 +458,7 @@ def norm_hs(f: SpectralField, s: float) -> float:
 def hermitian_asymmetry(f: SpectralField) -> float:
     """max |coeffs(k) - conj(coeffs(-k))| on the self-conjugate columns jy = 0, ny/2; 0 for a real field."""
     ends = f.coeffs[..., :: f.grid.ny // 2]
-    return float(np.abs(ends - np.conj(ends[..., -f.grid.jx, :])).max())
+    return float(np.abs(ends - np.conj(ends[..., f.grid.neg_jx, :])).max())
 
 
 def hermitianize(f: SpectralField) -> SpectralField:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,61 @@ class TestNumericalAbort:
         t = np.loadtxt(out / "series_periodic.csv", delimiter=",", skiprows=1)[:, 0]
         assert 0.0 < t_last < 5.0
         assert t == pytest.approx(np.arange(len(t)) * 0.05) and t[-1] == pytest.approx(t_last)
+
+
+    def test_ch_blow_up_prints_no_numpy_warnings(self, tmp_path, capsys):
+        """The run silences the floating-point warnings on the way to a detected blow-up."""
+        cfg_path = tmp_path / "ch.cfg"
+        cfg_path.write_text(
+            "[run]\nexperiment = ch\n[experiment]\nn = 64\nbc = periodic\n[ic]\namp = 50\nk = 3\n"
+            "[time]\ndt = 0.05\nt_final = 5\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["ch", "--config", str(cfg_path), "--out", str(tmp_path / "ch")]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+
+
+class TestZeroInitialEnergy:
+    """A flow at rest conserves everything exactly: its drifts read 0, not a crash or nan."""
+
+    @pytest.mark.parametrize("experiment, text, keys", [
+        (
+            "simulate2d",
+            SMALL_2D.replace("amps = 0.2 0.15", "amps = 0.0 0.0"),
+            ["energy_drift_rel"] + [f"casimir_{n}_drift_rel" for n in range(1, 5)],
+        ),
+        (
+            "ch",
+            "[run]\nexperiment = ch\n[experiment]\nn = 32\nbc = both\n[ic]\namp = 0.0\nk = 1\n"
+            "[time]\ndt = 0.01\nt_final = 0.05\n",
+            ["energy_drift_rel_dirichlet", "energy_drift_rel_periodic"],
+        ),
+        (
+            "blob",
+            "[run]\nexperiment = blob\n[physics]\nalpha = 0.3\n[ic]\nkind = blob_ring\nn_blobs = 3\n"
+            "radius = 1.0\ngamma = 0.0\n[time]\ndt = 1e-2\nt_final = 0.05\n",
+            ["hamiltonian_drift_rel", "impulse_drift_rel", "angular_impulse_drift_rel", "circulation_drift_rel"],
+        ),
+    ], ids=["simulate2d", "ch", "blob"])
+    def test_drifts_read_zero(self, tmp_path, capsys, experiment, text, keys):
+        cfg_path = tmp_path / "rest.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        manifest = read_manifest(out)
+        assert manifest["status"] == "COMPLETE"
+        assert [float(manifest[k]) for k in keys] == [0.0] * len(keys)
+
+    def test_drift_helper(self):
+        assert runner._drift_rel(0.0, 0.0, 0.0) == 0.0
+        assert runner._drift_rel(0.0, 1e-300, 0.0) == math.inf
+        assert runner._drift_rel(2.0, 2.5, 4.0) == abs(2.5 - 2.0) / 4.0
 
 
 class TestBadInput:

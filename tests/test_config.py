@@ -105,3 +105,28 @@ def test_unparsable_value():
 def test_comments_and_blank_lines():
     text = "# leading comment\n\n[run]\n# inner comment\nexperiment = blob\n"
     assert parse_config(text).experiment == "blob"
+
+
+VISC_LIMIT = "[run]\nexperiment = visc-limit\n[experiment]\nnus = 0.1 0.01\nvariants = both\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("variants = foo", "must be one of viscous, strong, both"),
+    ("nus = 0.1", "at least two distinct"),
+    ("nus = 0.1 0.1", "at least two distinct"),
+    ("nus = 0.1 0.0", "positive"),
+    ("nus = 0.1 -0.01", "positive"),
+    ("nus = 0.1 inf", "finite"),
+])
+def test_visc_limit_keys_checked_at_parse_time(line, message):
+    key = line.split(" = ")[0]
+    text = "\n".join(line if entry.startswith(key + " =") else entry for entry in VISC_LIMIT.splitlines())
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(text)
+    assert exc.value.line == text.splitlines().index(line) + 1
+
+
+def test_visc_limit_keys_accepted():
+    cfg = parse_config(VISC_LIMIT.replace("variants = both", "variants = strong"))
+    assert cfg.get("experiment", "nus") == (0.1, 0.01)
+    assert cfg.get("experiment", "variants") == "strong"
