@@ -61,8 +61,30 @@ def _viscosities(v):
         raise ValueError("must hold at least two distinct positive, finite viscosities")
 
 
+def _finite(v):
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+
+
 def _any(v):
     return None
+
+
+def _pair(check=_any):
+    """Exactly two values, each passing check."""
+    def pair(v):
+        if len(v) != 2:
+            raise ValueError(f"must hold exactly two values, got {len(v)}")
+        for x in v:
+            check(x)
+    return pair
+
+
+def _alphas(v):
+    if not v:
+        raise ValueError("must hold at least one alpha")
+    for x in v:
+        _nonneg(x)
 
 
 def _choice(*options):
@@ -98,16 +120,16 @@ _SCHEMA = {
     "ic": {
         "kind": ("str", _choice("single_mode", "two_mode", "random_seeded", "blob_ring")),
         "k": ("ints", _any),
-        "k1": ("ints", _any),
-        "k2": ("ints", _any),
-        "amp": ("float", _any),
-        "amps": ("floats", _any),
-        "phases": ("floats", _any),
+        "k1": ("ints", _pair()),
+        "k2": ("ints", _pair()),
+        "amp": ("float", _finite),
+        "amps": ("floats", _pair(_finite)),
+        "phases": ("floats", _pair(_finite)),
         "spectrum_slope": ("float", _any),
         "kmax": ("int", _pos_int),
         "n_blobs": ("int", _pos_int),
         "radius": ("float", _pos),
-        "gamma": ("float", _any),
+        "gamma": ("float", _finite),
     },
     "output": {
         "series_every": ("int", _nonneg),
@@ -117,8 +139,8 @@ _SCHEMA = {
         # shared tuning knobs for the specialty drivers
         "nus": ("floats", _viscosities),
         "variants": ("str", _choice("viscous", "strong", "both")),
-        "eps": ("ints", _any),
-        "alphas": ("floats", _any),
+        "eps": ("ints", _pair()),
+        "alphas": ("floats", _alphas),
         "epsilons": ("floats", _any),
         "m": ("int", _pos_int),
         "bc": ("str", _choice("dirichlet", "periodic", "both")),

@@ -7,12 +7,14 @@ M-operator, the curvature operator, sectional curvature with the closed-form
 two-stream-mode anchor, the alpha sign-flip search, and Jacobi-field
 (linearized-flow) integration.
 
-All products of band-limited fields are computed alias-free on the doubled
-grid with real transforms, one transform pair per operator for all of its
-factors; a product whose true spectral support exceeds the grid raises
-SupportOverflowError instead of silently aliasing.  With enough margin every
-operator here is exact to roundoff, which is what makes the closed-form
-curvature anchor a sharp test.
+All products of band-limited fields are computed alias-free on the grid
+itself with real transforms, one transform pair per operator for all of its
+factors.  The spectral support of every factor pair is checked first: supports
+summing to at most n/2 - 1 on an axis of n points cannot alias there, and a
+product whose true support exceeds that raises SupportOverflowError instead of
+silently aliasing.  With enough margin every operator here is exact to
+roundoff, which is what makes the closed-form curvature anchor a sharp test.
+A NaN or inf coefficient in an operand raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .spectral import (
     inner_product_alpha,
     norm_alpha,
     to_physical,
-    to_physical_padded,
     to_spectral_padded,
     zero_field,
 )
@@ -59,10 +60,18 @@ def stream_mode(grid: TorusGrid2D, k: tuple[int, int], amplitude: float = 1.0) -
 # -- exact (alias-free) products --------------------------------------------------
 
 
+def _finite_scale(mags: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+    """max of mags over axis; a NaN or inf maximum raises FloatingPointError."""
+    scale = mags.max(axis=axis, keepdims=keepdims)
+    if not np.isfinite(scale).all():
+        raise FloatingPointError("non-finite coefficients in a geometry operand")
+    return scale
+
+
 def _clean(f: SpectralField, rel: float = 1e-13) -> SpectralField:
     """Zero sub-roundoff coefficients so spectral support can be read off exactly."""
     c = f.coeffs
-    scale = np.abs(c).max()
+    scale = _finite_scale(np.abs(c))
     if scale == 0.0:
         return f
     return SpectralField(f.grid, np.where(np.abs(c) > rel * scale, c, 0.0))
@@ -92,18 +101,20 @@ def _exact_product(factors: FieldStack, form: _Form) -> np.ndarray:
 
     Each factor is cleaned on its own and its spectral support tracked
     (support growth under every operation in this module keeps zeros exact);
-    if the supports of any pair the forms multiply sum past the grid, that
-    product would be aliased, so this raises instead.  Within capacity the
-    factors go to the doubled grid in one real inverse transform, the forms
-    are contracted pointwise there, and the outputs come back in one real
-    forward transform.  Each output's coefficients below the FFT roundoff
-    floor, 1e-13 * sum over its terms of max|f_a| * max|f_b|, are zeroed to
-    keep supports sharp.
+    if the supports of any pair the forms multiply sum past n/2 - 1 on an
+    axis of n points, that product would be aliased, so this raises instead.
+    Within capacity no product mode wraps onto a live one on the grid itself,
+    and no factor of a pair has a live Nyquist mode, so the factors go to the
+    (nx, ny) grid in one real inverse transform, the forms are contracted
+    pointwise there, and the outputs come back in one real forward transform.
+    Each output's coefficients below the FFT roundoff floor, 1e-13 * sum over
+    its terms of max|f_a| * max|f_b| (sampled maxima), are zeroed to keep
+    supports sharp.  Non-finite factors raise FloatingPointError.
     """
     g = factors.grid
     c = factors.coeffs
     mags = np.abs(c)
-    live = mags > 1e-13 * mags.max(axis=(1, 2), keepdims=True)
+    live = mags > 1e-13 * _finite_scale(mags, axis=(1, 2), keepdims=True)
     c = np.where(live, c, 0.0)
     sx = np.where(live.any(axis=2), np.abs(g.jx), 0).max(axis=1)
     sy = np.where(live.any(axis=1), np.abs(g.jy), 0).max(axis=1)
@@ -115,7 +126,7 @@ def _exact_product(factors: FieldStack, form: _Form) -> np.ndarray:
             f"product support ({sx[a[t]] + sx[b[t]]},{sy[a[t]] + sy[b[t]]}) exceeds the "
             f"{g.nx}x{g.ny} grid; rerun on a larger grid"
         )
-    p = to_physical_padded(FieldStack(g, c), (2 * g.nx, 2 * g.ny))
+    p = to_physical(FieldStack(g, c))
     out = np.tensordot(form.weights, p[a] * p[b], axes=1)
     peak = np.abs(p).max(axis=(1, 2))
     floor = 1e-13 * (form.counts @ (peak[a] * peak[b]))
@@ -319,19 +330,25 @@ def find_alpha0(
     tol: float = 1e-4,
     grid: TorusGrid2D | None = None,
     n_scan: int = 20,
+    known: dict | None = None,
 ) -> float | None:
     """Bisection for the alpha at which K(xi, psi) changes sign on (0, 1].
 
     Stream modes xi = cos(k.x), psi = cos(l.x) with l = k + eps.  Returns the
     crossing alpha0 to absolute tolerance tol, or None when no sign flip is
-    found in (0, 1] (a reported outcome, not an error).
+    found in (0, 1] (a reported outcome, not an error).  known maps alphas to
+    K values the caller already computed for this plane on this grid; K is
+    evaluated only at the alphas it does not hold.
     """
     l = (k[0] + eps[0], k[1] + eps[1])
     g = grid if grid is not None else grid_for_modes(k, l)
     xi = stream_mode(g, k)
     psi = stream_mode(g, l)
+    known = known or {}
 
     def kappa(a: float) -> float:
+        if a in known:
+            return known[a]
         return sectional_curvature(xi, psi, AlphaParam(a))
 
     alphas = np.linspace(0.0, 1.0, n_scan + 1)

@@ -158,12 +158,19 @@ def _grid_from(cfg: RunConfig) -> TorusGrid2D:
     )
 
 
+def _ic_k(cfg: RunConfig, default: tuple) -> tuple:
+    """[ic] k, which must hold as many integers as default (two on the torus, one for ch)."""
+    k = tuple(cfg.get("ic", "k", default))
+    if len(k) != len(default):
+        raise ConfigError(f"[ic] k must hold exactly {len(default)} integer(s) for {cfg.experiment}, got {len(k)}")
+    return k
+
+
 def initial_velocity(cfg: RunConfig, grid: TorusGrid2D, seed: int) -> SpectralField:
     """Named presets for the 2D experiments; all are divergence-free."""
     kind = cfg.get("ic", "kind", "two_mode")
     if kind == "single_mode":
-        k = cfg.get("ic", "k", (1, 0))
-        return stream_mode(grid, tuple(k), cfg.get("ic", "amp", 1.0))
+        return stream_mode(grid, _ic_k(cfg, (1, 0)), cfg.get("ic", "amp", 1.0))
     if kind == "two_mode":
         k1 = tuple(cfg.get("ic", "k1", (1, 0)))
         k2 = tuple(cfg.get("ic", "k2", (2, 1)))
@@ -285,7 +292,7 @@ def _exp_ch(cfg: RunConfig, outdir: str, seed: int) -> dict:
     dt = cfg.get("time", "dt", 1e-4)
     T = cfg.get("time", "t_final", 1.0)
     amp = cfg.get("ic", "amp", 0.1)
-    m = cfg.get("ic", "k", (1,))[0]
+    (m,) = _ic_k(cfg, (1,))
     every = cfg.get("output", "series_every", 100)
     diag: dict = {}
     for this_bc in ("dirichlet", "periodic") if bc == "both" else (bc,):
@@ -398,7 +405,7 @@ def _viscosity_run(args) -> np.ndarray:
 
 
 def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int) -> dict:
-    k = tuple(cfg.get("ic", "k", (1, 0)))
+    k = _ic_k(cfg, (1, 0))
     eps = tuple(cfg.get("experiment", "eps", (0, 1)))
     alphas = cfg.get("experiment", "alphas", tuple(np.linspace(0.0, 1.0, 21)))
     l = (k[0] + eps[0], k[1] + eps[1])
@@ -407,7 +414,7 @@ def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int) -> dict:
     y = stream_mode(grid, l)
     rows = [(a, sectional_curvature(x, y, AlphaParam(a))) for a in alphas]
     write_csv(os.path.join(outdir, "sweep.csv"), ["alpha", "sectional_curvature"], rows)
-    a0 = find_alpha0(k, eps, grid=grid)
+    a0 = find_alpha0(k, eps, grid=grid, known=dict(rows))
     diag = {"k": f"{k[0]} {k[1]}", "l": f"{l[0]} {l[1]}"}
     diag["alpha0"] = a0 if a0 is not None else "no flip in (0,1]"
     return diag

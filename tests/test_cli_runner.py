@@ -125,6 +125,93 @@ class TestInputErrors:
         assert not out.exists()
 
 
+SINGLE_16 = """
+[run]
+experiment = simulate2d
+[grid]
+nx = 16
+ny = 16
+[physics]
+alpha = 0.2
+[time]
+dt = 1e-2
+t_final = 0.02
+[ic]
+kind = single_mode
+k = 1 0
+amp = 0.5
+"""
+
+SWEEP = "[run]\nexperiment = alpha-sweep\n[ic]\nk = 1 0\n[experiment]\neps = 0 1\nalphas = 0.0 0.5\n"
+BLOB = (
+    "[run]\nexperiment = blob\n[physics]\nalpha = 0.3\n[ic]\nkind = blob_ring\nn_blobs = 3\n"
+    "radius = 1.0\ngamma = 1.0\n[time]\ndt = 1e-2\nt_final = 0.05\n"
+)
+CH = "[run]\nexperiment = ch\n[experiment]\nn = 32\nbc = periodic\n[ic]\namp = 0.1\nk = 1\n[time]\ndt = 0.01\nt_final = 0.02\n"
+
+
+class TestShapeAndFiniteness:
+    """Short tuples and non-finite amplitudes end in exit 1 with one error line: at parse
+    time with the line number, or from the driver that indexes [ic] k."""
+
+    PARSE_CASES = [
+        ("simulate2d", SINGLE_16, "amp = 0.5", "amp = nan"),
+        ("simulate2d", SINGLE_16, "amp = 0.5", "amp = inf"),
+        ("simulate2d", SMALL_2D, "k1 = 1 0", "k1 = 1"),
+        ("simulate2d", SMALL_2D, "k2 = 2 1", "k2 = 2 1 0"),
+        ("simulate2d", SMALL_2D, "amps = 0.2 0.15", "amps = 0.25"),
+        ("simulate2d", SMALL_2D, "amps = 0.2 0.15", "amps = 0.2 nan"),
+        ("simulate2d", SMALL_2D, "amps = 0.2 0.15", "amps = 0.2 0.15\nphases = 0.1"),
+        ("blob", BLOB, "gamma = 1.0", "gamma = nan"),
+        ("alpha-sweep", SWEEP, "eps = 0 1", "eps = 1"),
+        ("alpha-sweep", SWEEP, "eps = 0 1", "eps = 0 1 2"),
+        ("alpha-sweep", SWEEP, "alphas = 0.0 0.5", "alphas ="),
+        ("alpha-sweep", SWEEP, "alphas = 0.0 0.5", "alphas = 0.0 -0.5"),
+        ("alpha-sweep", SWEEP, "alphas = 0.0 0.5", "alphas = 0.0 nan"),
+    ]
+    DRIVER_CASES = [
+        ("alpha-sweep", SWEEP, "k = 1 0", "k = 2"),
+        ("alpha-sweep", SWEEP, "k = 1 0", "k = 1 0 2"),
+        ("simulate2d", SINGLE_16, "k = 1 0", "k = 1"),
+        ("simulate2d", SINGLE_16, "k = 1 0", "k = 1 0 2"),
+        ("ch", CH, "k = 1", "k = 1 2"),
+    ]
+
+    @pytest.mark.parametrize("experiment, text, old, new", PARSE_CASES, ids=[f"{c[0]}: {c[3]}" for c in PARSE_CASES])
+    def test_rejected_at_parse_time(self, tmp_path, capsys, experiment, text, old, new):
+        assert old in text
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "(line " in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, text, old, new", DRIVER_CASES, ids=[f"{c[0]}: {c[3]}" for c in DRIVER_CASES])
+    def test_wrong_ic_k_length_rejected_by_driver(self, tmp_path, capsys, experiment, text, old, new):
+        assert old in text
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [ic] k must hold exactly")
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert manifest["abort_reason"].startswith("[ic] k")
+
+    @pytest.mark.parametrize("experiment, text", [
+        ("simulate2d", SINGLE_16), ("alpha-sweep", SWEEP), ("blob", BLOB), ("ch", CH),
+    ], ids=["simulate2d", "alpha-sweep", "blob", "ch"])
+    def test_well_formed_inputs_still_run(self, tmp_path, experiment, text):
+        cfg_path = tmp_path / "ok.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert read_manifest(out)["status"] == "COMPLETE"
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(SMALL_2D)

@@ -7,12 +7,16 @@ The derived oracles here are the ones that pin every convention:
   * the instantaneous Jacobi identity against the linearized flow.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dynamics import ORACLE_SHAPES, assert_same_bits, predecessor_velocity_from_q
 
+from alpha_fluids import geometry, runner
+from alpha_fluids.cli import main
 from alpha_fluids.dynamics import state_from_velocity, velocity_from_q
 from alpha_fluids.geometry import (
     DegeneratePlaneError,
@@ -52,7 +56,9 @@ from alpha_fluids.spectral import (
     norm_alpha,
     norm_hs,
     to_physical,
+    to_physical_padded,
     to_spectral,
+    to_spectral_padded,
     zero_field,
 )
 
@@ -126,6 +132,28 @@ def padded_complex_product(a: SpectralField, b: SpectralField) -> np.ndarray:
     floor = 1e-13 * float(np.abs(pa).max()) * float(np.abs(pb).max())
     prod = np.where(np.abs(prod) > floor, prod, 0.0)
     return prod[np.ix_(ix, iy[: g.ny // 2 + 1])]
+
+
+def doubled_grid_exact_product(factors: FieldStack, form) -> np.ndarray:
+    """The predecessor of _exact_product: the same cleaning, support check and floor,
+    with the factors transformed on the doubled grid (2nx, 2ny)."""
+    g = factors.grid
+    c = factors.coeffs
+    mags = np.abs(c)
+    live = mags > 1e-13 * mags.max(axis=(1, 2), keepdims=True)
+    c = np.where(live, c, 0.0)
+    sx = np.where(live.any(axis=2), np.abs(g.jx), 0).max(axis=1)
+    sy = np.where(live.any(axis=1), np.abs(g.jy), 0).max(axis=1)
+    a, b = form.pairs.T
+    over = (sx[a] + sx[b] > g.nx // 2 - 1) | (sy[a] + sy[b] > g.ny // 2 - 1)
+    if over.any():
+        raise SupportOverflowError(f"product exceeds the {g.nx}x{g.ny} grid; rerun on a larger grid")
+    p = to_physical_padded(FieldStack(g, c), (2 * g.nx, 2 * g.ny))
+    out = np.tensordot(form.weights, p[a] * p[b], axes=1)
+    peak = np.abs(p).max(axis=(1, 2))
+    floor = 1e-13 * (form.counts @ (peak[a] * peak[b]))
+    prod = to_spectral_padded(g, out)
+    return np.where(np.abs(prod) > floor[:, None, None], prod, 0.0)
 
 
 def ref_advect(x, y):
@@ -255,6 +283,92 @@ class TestBatchedProductsMatchPredecessor:
         rhs = s * ab + cb
         scale = max(abs(s) * np.abs(ab).max(), np.abs(cb).max(), np.finfo(float).tiny)
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def box_field(grid, sx, sy, rng):
+    """Real scalar field with random coefficients on every mode |jx| <= sx, |jy| <= sy."""
+    table = {(0, 0): complex(rng.standard_normal())}
+    for kx in range(-sx, sx + 1):
+        for ky in range(0, sy + 1):
+            if ky > 0 or kx > 0:
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                table[(kx, ky)], table[(-kx, -ky)] = c, np.conj(c)
+    return field_from_modes(grid, table).coeffs
+
+
+class TestUnpaddedProductMatchesDoubledGrid:
+    """_exact_product on (nx, ny) against its doubled-grid predecessor, up to the support boundary."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.sampled_from([(16, 16, 2 * np.pi, 2 * np.pi), (32, 32, 2 * np.pi, 2 * np.pi), (24, 40, 3.0, 7.5)]),
+        fx=st.floats(0.0, 1.0),
+        fy=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        axis=st.sampled_from([0, 1]),
+    )
+    def test_agrees_to_the_support_boundary(self, grid, fx, fy, seed, axis):
+        g = make_grid(*grid)
+        rng = np.random.default_rng(seed)
+        hx, hy = g.nx // 2 - 1, g.ny // 2 - 1
+        # factors 0 and 1 sum exactly to the boundary on both axes; factor 2 fits beside the larger
+        s0 = (int(fx * hx), int(fy * hy))
+        s1 = (hx - s0[0], hy - s0[1])
+        s2 = (hx - max(s0[0], s1[0]), hy - max(s0[1], s1[1]))
+        supports = [s0, s1, s2]
+        c = np.stack([box_field(g, *s, rng) for s in supports])
+        pairs = [(a, b) for a in range(3) for b in range(a, 3)
+                 if all(supports[a][i] + supports[b][i] <= (hx, hy)[i] for i in range(2))]
+        terms = [(o, a, b, float(rng.standard_normal())) for o in range(2) for a, b in pairs]
+        form = _form(2, terms)
+        out = _exact_product(FieldStack(g, c), form)
+        ref = doubled_grid_exact_product(FieldStack(g, c), form)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        # one more mode on either axis of the narrower factor overflows (n/2), as in the oracle
+        i = int(supports[1][axis] < supports[0][axis])
+        wider = list(supports[i])
+        wider[axis] += 1
+        c[i] = box_field(g, *wider, rng)
+        with pytest.raises(SupportOverflowError, match="larger grid"):
+            _exact_product(FieldStack(g, c), _form(1, [(0, 0, 1, 1.0)]))
+        with pytest.raises(SupportOverflowError, match="larger grid"):
+            doubled_grid_exact_product(FieldStack(g, c), _form(1, [(0, 0, 1, 1.0)]))
+
+    @pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+    def test_curvature_matches_doubled_grid(self, nx, ny, Lx, Ly, monkeypatch):
+        g = make_grid(nx, ny, Lx, Ly)
+        x, y = rand_stream(g, 51), rand_stream(g, 52)
+        alphas = (AlphaParam(0.0), AlphaParam(0.6))
+        K = [sectional_curvature(x, y, a) for a in alphas]
+        monkeypatch.setattr(geometry, "_exact_product", doubled_grid_exact_product)
+        K_ref = [sectional_curvature(x, y, a) for a in alphas]
+        assert np.abs(np.subtract(K, K_ref)).max() <= 1e-13 * np.abs(K_ref).min()
+
+
+class TestNonFiniteOperands:
+    """A NaN or inf coefficient raises FloatingPointError instead of being cleaned to zero."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_clean_raises(self, bad):
+        f = stream_mode(make_grid(16, 16), (1, 2))
+        c = f.coeffs.copy()
+        c[0, 1, 2] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _clean(SpectralField(f.grid, c))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_exact_product_raises(self, bad):
+        g = make_grid(16, 16)
+        c = np.stack([cosine_field(g, (1, 0)).coeffs, cosine_field(g, (0, 1)).coeffs])
+        c[1, 0, 1] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _exact_product(FieldStack(g, c), _form(1, [(0, 0, 1, 1.0)]))
+
+    def test_sectional_curvature_raises(self):
+        g = make_grid(16, 16)
+        x, y = stream_mode(g, (1, 0)), stream_mode(g, (0, 1))
+        with pytest.raises(FloatingPointError):
+            sectional_curvature(np.nan * x, y, AlphaParam(0.3))
 
 
 class TestCalU:
@@ -550,6 +664,49 @@ class TestFindAlpha0:
 
     def test_no_flip_is_reported_not_raised(self):
         assert find_alpha0((1, 0), (0, 1)) is None
+
+    def test_shipped_value(self):
+        assert find_alpha0((2, 2), (0, 1)) == 0.673291015625
+
+    @staticmethod
+    def count_curvature_calls(monkeypatch, *modules):
+        """(alphas of every sectional_curvature call from now on, the unpatched function)."""
+        calls, real = [], geometry.sectional_curvature
+
+        def counted(x, y, alpha):
+            calls.append(alpha.alpha)
+            return real(x, y, alpha)
+
+        for m in modules:
+            monkeypatch.setattr(m, "sectional_curvature", counted)
+        return calls, real
+
+    def test_known_values_are_not_recomputed(self, monkeypatch):
+        calls, real = self.count_curvature_calls(monkeypatch, geometry)
+        a0 = find_alpha0((2, 2), (0, 1))
+        scan = np.linspace(0.0, 1.0, 21)
+        assert calls[:21] == list(scan)
+        n_bisect = len(calls) - 21
+        g = grid_for_modes((2, 2), (2, 3))
+        x, y = stream_mode(g, (2, 2)), stream_mode(g, (2, 3))
+        known = {a: real(x, y, AlphaParam(a)) for a in scan[::2]}
+        calls.clear()
+        assert find_alpha0((2, 2), (0, 1), known=known) == a0
+        assert len(calls) == 21 - len(known) + n_bisect
+        assert not set(calls) & set(known)
+
+    def test_sweep_evaluates_each_alpha_once(self, tmp_path, monkeypatch):
+        """One alpha_sweep_flip.cfg run: 21 sweep points plus the bisection, and the same alpha0."""
+        a0 = find_alpha0((2, 2), (0, 1))
+        n_bisect = int(np.ceil(np.log2((1.0 / 20) / 1e-4)))  # a scan interval halved down to tol
+        calls, _ = self.count_curvature_calls(monkeypatch, geometry, runner)
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "alpha_sweep_flip.cfg")
+        out = tmp_path / "out"
+        assert main(["alpha-sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 21 + n_bisect
+        assert len(set(calls)) == len(calls)
+        manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+        assert float(manifest["alpha0"]) == a0
 
 
 class TestJacobiEvolve:
