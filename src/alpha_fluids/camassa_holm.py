@@ -13,9 +13,6 @@ with the velocity reconstructed through shape-preserving (monotone cubic)
 interpolation of the graph (eta_i, etadot_i).  Uniform grids and second-order
 centered differences throughout; composition with interpolation is what rules
 out a purely spectral representation.
-
-The H^1 covariant derivative, its bilinear operator, and the sectional
-curvature at the identity close out the 1D geometry.
 """
 
 from __future__ import annotations
@@ -149,6 +146,20 @@ def run_ch(state: CHState, dt: float, T: float, on_step=None) -> CHState:
         return march(step_ch_rk4, state, dt, T, on_step)
 
 
+def inner_h1(u: np.ndarray, v: np.ndarray, bc: str, L: float = TWO_PI) -> float:
+    """integral(u v + u_x v_x): the right-invariant metric at the identity."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if bc == "periodic":
+        h = L / u.size
+        return float(h * np.sum(u * v + _deriv_periodic(u, h) * _deriv_periodic(v, h)))
+    grid = DirichletGrid1D(u.size)
+    fu, fv = _dirichlet_full(u), _dirichlet_full(v)
+    return float(
+        np.trapezoid(fu * fv + _deriv_full(fu, grid.h) * _deriv_full(fv, grid.h), dx=grid.h)
+    )
+
+
 def ch_energy(state: CHState) -> float:
     """inner_h1(u, u) = integral(u^2 + u_x^2): the squared norm the inviscid flow conserves."""
     return inner_h1(state.u, state.u, state.bc, state.L)
@@ -245,77 +256,3 @@ def ch_spray_step(ls: CHLagrangianState, dt: float) -> CHLagrangianState:
 
 def run_spray(ls: CHLagrangianState, dt: float, T: float, on_step=None) -> CHLagrangianState:
     return march(ch_spray_step, ls, dt, T, on_step)
-
-
-# -- 1D geometry at the identity ------------------------------------------------------------
-
-
-def frakU_1d(u: np.ndarray, v: np.ndarray, bc: str, L: float = TWO_PI) -> np.ndarray:
-    """(1 - dxx)^{-1} dx (u v + u_x v_x / 2): the H^1 metric's bilinear operator."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError("u and v live on different grids")
-    if bc == "periodic":
-        h = L / u.size
-        w = u * v + 0.5 * _deriv_periodic(u, h) * _deriv_periodic(v, h)
-        return _nonlocal_derivative_periodic(w, L)
-    grid = DirichletGrid1D(u.size)
-    fu, fv = _dirichlet_full(u), _dirichlet_full(v)
-    w = fu * fv + 0.5 * _deriv_full(fu, grid.h) * _deriv_full(fv, grid.h)
-    dw = (w[2:] - w[:-2]) / (2.0 * grid.h)
-    return helmholtz_solve_dirichlet_1d(dw, AlphaParam(1.0), grid)
-
-
-def cd_1d(x: np.ndarray, y: np.ndarray, bc: str, L: float = TWO_PI) -> np.ndarray:
-    """Covariant derivative at the identity: (d_x y) . x + frakU(x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if bc == "periodic":
-        yx = _deriv_periodic(y, L / y.size)
-    else:
-        yx = _deriv_full(_dirichlet_full(y), DirichletGrid1D(y.size).h)[1:-1]
-    return x * yx + frakU_1d(x, y, bc, L)
-
-
-def _bracket_1d(x, y, bc, L):
-    if bc == "periodic":
-        h = L / len(x)
-        return x * _deriv_periodic(y, h) - y * _deriv_periodic(x, h)
-    h = DirichletGrid1D(len(x)).h
-    dy = _deriv_full(_dirichlet_full(y), h)[1:-1]
-    dx = _deriv_full(_dirichlet_full(x), h)[1:-1]
-    return x * dy - y * dx
-
-
-def inner_h1(u: np.ndarray, v: np.ndarray, bc: str, L: float = TWO_PI) -> float:
-    """integral(u v + u_x v_x): the right-invariant metric at the identity."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if bc == "periodic":
-        h = L / u.size
-        return float(h * np.sum(u * v + _deriv_periodic(u, h) * _deriv_periodic(v, h)))
-    grid = DirichletGrid1D(u.size)
-    fu, fv = _dirichlet_full(u), _dirichlet_full(v)
-    return float(
-        np.trapezoid(fu * fv + _deriv_full(fu, grid.h) * _deriv_full(fv, grid.h), dx=grid.h)
-    )
-
-
-def ch_curvature_op(x, y, z, bc: str, L: float = TWO_PI) -> np.ndarray:
-    """R~(x,y)z = cd_x cd_y z - cd_y cd_x z - cd_{[x,y]} z (same orientation as 2D)."""
-    cd = lambda a, b: cd_1d(a, b, bc, L)
-    return cd(x, cd(y, z)) - cd(y, cd(x, z)) - cd(_bracket_1d(x, y, bc, L), z)
-
-
-def ch_sectional_curvature(x, y, bc: str, L: float = TWO_PI) -> float:
-    """<R~(x,y)y, x>_{H^1} over the Gram determinant; scale-invariant."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xx = inner_h1(x, x, bc, L)
-    yy = inner_h1(y, y, bc, L)
-    xy = inner_h1(x, y, bc, L)
-    gram = xx * yy - xy * xy
-    if gram <= 1e-12 * xx * yy:
-        raise ValueError("directions are numerically collinear")
-    return inner_h1(ch_curvature_op(x, y, y, bc, L), x, bc, L) / gram

@@ -61,6 +61,11 @@ def _viscosities(v):
         raise ValueError("must hold at least two distinct positive, finite viscosities")
 
 
+def _epsilons(v):
+    if len(set(v)) < 2 or not all(x != 0.0 and math.isfinite(x) for x in v):
+        raise ValueError("must hold at least two distinct nonzero, finite epsilons")
+
+
 def _finite(v):
     if not math.isfinite(v):
         raise ValueError("must be finite")
@@ -125,7 +130,7 @@ _SCHEMA = {
         "amp": ("float", _finite),
         "amps": ("floats", _pair(_finite)),
         "phases": ("floats", _pair(_finite)),
-        "spectrum_slope": ("float", _any),
+        "spectrum_slope": ("float", _finite),
         "kmax": ("int", _pos_int),
         "n_blobs": ("int", _pos_int),
         "radius": ("float", _pos),
@@ -141,7 +146,7 @@ _SCHEMA = {
         "variants": ("str", _choice("viscous", "strong", "both")),
         "eps": ("ints", _pair()),
         "alphas": ("floats", _alphas),
-        "epsilons": ("floats", _any),
+        "epsilons": ("floats", _epsilons),
         "m": ("int", _pos_int),
         "bc": ("str", _choice("dirichlet", "periodic", "both")),
         "n": ("int", _pos_int),

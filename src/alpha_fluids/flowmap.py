@@ -1,4 +1,4 @@
-"""Flow-map integration, volume/transport verification, and exponential maps.
+"""Flow-map co-advection and volume/transport verification.
 
 Particles realizing eta(t, x) on a reference lattice are advected by
 integrate.rk4 through a time-indexed velocity source.  Nonuniform velocity
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DissipationMode, VorticityState, state_from_velocity, step_rk4
+from .dynamics import DissipationMode, VorticityState, step_rk4
 from .integrate import march, rk4
-from .spectral import TWO_PI, AlphaParam, SpectralField, TorusGrid2D, full_coeffs
+from .spectral import TWO_PI, SpectralField, TorusGrid2D, full_coeffs
 
 _EVAL_TRUNCATION = 1e-16  # relative: modes below this cannot move max error past 1e-13
 
@@ -49,9 +49,6 @@ class FlowMap:
 
     def with_positions(self, pos: np.ndarray, t: float) -> "FlowMap":
         return FlowMap(self.grid, self.reference, pos, t)
-
-    def displacement(self) -> np.ndarray:
-        return self.positions - self.reference
 
 
 def make_lattice(grid: TorusGrid2D, m: int) -> FlowMap:
@@ -136,16 +133,6 @@ def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
 # -- velocity sources -----------------------------------------------------------------
 
 
-class FrozenVelocity:
-    """Time-independent source: the group-exponential integrand."""
-
-    def __init__(self, u: SpectralField):
-        self.u = u
-
-    def at(self, t: float) -> SpectralField:
-        return self.u
-
-
 class SnapshotVelocity:
     """Equispaced velocity snapshots with linear interpolation at stage times."""
 
@@ -175,30 +162,6 @@ def _rk4_particles(pos_flat: np.ndarray, source, t: float, dt: float) -> np.ndar
         return folds[ts](pos)
 
     return rk4(velocity, t, pos_flat, dt)
-
-
-def advect_flow_map(source, fmap: FlowMap, dt: float, T: float) -> FlowMap:
-    """RK4 particle advection of the lattice through the velocity source.
-
-    source is anything with .at(t) -> vector SpectralField (FrozenVelocity,
-    SnapshotVelocity, a solver coupling); a bare SpectralField is treated as
-    frozen.  Integrates round(T/dt) whole steps.
-    """
-    if dt <= 0.0 or T < dt:
-        raise ValueError("need dt > 0 and T >= dt")
-    if isinstance(source, SpectralField):
-        source = FrozenVelocity(source)
-
-    def step(c, h):
-        pos, t = c
-        pos, t = _rk4_particles(pos, source, t, h), t + h
-        if not np.isfinite(pos).all():
-            raise FloatingPointError(f"particle positions lost finiteness at t={t:g}")
-        return pos, t
-
-    m = fmap.m
-    pos, t = march(step, (fmap.positions.reshape(m * m, 2), fmap.t), dt, T)
-    return fmap.with_positions(pos.reshape(m, m, 2), t)
 
 
 def co_advect(
@@ -258,46 +221,3 @@ def transport_check(q0: SpectralField, q_t: SpectralField, fmap: FlowMap) -> flo
     vals_0 = eval_field_at(q0, ref)
     return float(np.abs(vals_t - vals_0).max())
 
-
-# -- exponential maps --------------------------------------------------------------------
-
-
-def exponential_map(
-    u0: SpectralField,
-    T: float,
-    kind: str,
-    dt: float,
-    alpha: AlphaParam | None = None,
-    m: int = 32,
-) -> FlowMap:
-    """Endpoint flow map of the metric geodesic ('riemannian') or the frozen
-    right-invariant flow ('group') with initial velocity u0.
-
-    The riemannian kind advects particles through the evolving inviscid
-    solution (requires alpha) from state_from_velocity(u0, alpha), whose q is
-    2/3-dealiased: for u0 inside the 2/3 band that changes nothing.  The group
-    kind advects through the time-frozen u0.  T = 0 returns the identity
-    lattice for both.
-    """
-    g = u0.grid
-    fmap = make_lattice(g, m)
-    if T == 0.0:
-        return fmap
-    if kind == "group":
-        return advect_flow_map(FrozenVelocity(u0), fmap, dt, T)
-    if kind != "riemannian":
-        raise ValueError(f"unknown exponential-map kind {kind!r}")
-    if alpha is None:
-        raise ValueError("riemannian exponential map needs the metric's alpha")
-    _, out = co_advect(state_from_velocity(u0, alpha), DissipationMode.inviscid(), dt, T, fmap)
-    return out
-
-
-def flow_map_distance(a: FlowMap, b: FlowMap) -> float:
-    """sup-norm distance between particle images, modulo the periods."""
-    if a.m != b.m:
-        raise ValueError("flow maps use different lattices")
-    d = a.positions - b.positions
-    d[..., 0] -= a.grid.Lx * np.round(d[..., 0] / a.grid.Lx)
-    d[..., 1] -= a.grid.Ly * np.round(d[..., 1] / a.grid.Ly)
-    return float(np.abs(d).max())

@@ -3,9 +3,9 @@ identity, specialized to the flat 2D torus.
 
 Implements the quadratic operator calU and its polarization frakU, the
 covariant derivative of the alpha-weighted right-invariant metric, the
-M-operator, the curvature operator, sectional curvature with the closed-form
-two-stream-mode anchor, the alpha sign-flip search, and Jacobi-field
-(linearized-flow) integration.
+curvature operator, sectional curvature with the closed-form two-stream-mode
+anchor, the alpha sign-flip search, and Jacobi-field (linearized-flow)
+integration.
 
 All products of band-limited fields are computed alias-free on the grid
 itself with real transforms, one transform pair per operator for all of its
@@ -237,21 +237,6 @@ def covariant_derivative(x: SpectralField, y: SpectralField, alpha: AlphaParam) 
     if alpha.alpha != 0.0:
         inner = inner + _frakU(x, y, alpha)
     return leray_project(inner)
-
-
-def M_op(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
-    """(1 - P_e)(x . grad) y + P_e frakU(x, y): the non-advective remainder.
-
-    Bounded bilinearly in H^s; its divergence-free part is the correction that
-    turns the flat connection into the metric one, nabla~_x y =
-    P_e (x.grad) y + P_e frakU(x,y).
-    """
-    x, y = _clean(x), _clean(y)
-    a = _advect(x, y)
-    out = a - leray_project(a)
-    if alpha.alpha != 0.0:
-        out = out + leray_project(_frakU(x, y, alpha))
-    return out
 
 
 def curvature_op(

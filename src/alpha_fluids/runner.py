@@ -166,14 +166,27 @@ def _ic_k(cfg: RunConfig, default: tuple) -> tuple:
     return k
 
 
+def _in_band(grid: TorusGrid2D, key: str, k: tuple) -> tuple:
+    """k, unless it is the mean mode or outside the 2/3 band that state_from_velocity keeps."""
+    k = tuple(k)
+    if k == (0, 0):
+        raise ConfigError(f"[ic] {key} = 0 0 is the mean mode, which carries no flow")
+    if abs(k[0]) > grid.nx // 3 or abs(k[1]) > grid.ny // 3:
+        raise ConfigError(
+            f"[ic] {key} reaches mode ({k[0]}, {k[1]}), outside the 2/3 band "
+            f"|jx| <= {grid.nx // 3}, |jy| <= {grid.ny // 3} of the {grid.nx}x{grid.ny} grid"
+        )
+    return k
+
+
 def initial_velocity(cfg: RunConfig, grid: TorusGrid2D, seed: int) -> SpectralField:
     """Named presets for the 2D experiments; all are divergence-free."""
     kind = cfg.get("ic", "kind", "two_mode")
     if kind == "single_mode":
-        return stream_mode(grid, _ic_k(cfg, (1, 0)), cfg.get("ic", "amp", 1.0))
+        return stream_mode(grid, _in_band(grid, "k", _ic_k(cfg, (1, 0))), cfg.get("ic", "amp", 1.0))
     if kind == "two_mode":
-        k1 = tuple(cfg.get("ic", "k1", (1, 0)))
-        k2 = tuple(cfg.get("ic", "k2", (2, 1)))
+        k1 = _in_band(grid, "k1", cfg.get("ic", "k1", (1, 0)))
+        k2 = _in_band(grid, "k2", cfg.get("ic", "k2", (2, 1)))
         amps = cfg.get("ic", "amps", (0.25, 0.2))
         phases = cfg.get("ic", "phases", (0.0, 0.7))
         psi = cosine_field(grid, k1, amps[0], phases[0]) + cosine_field(grid, k2, amps[1], phases[1])
@@ -181,6 +194,7 @@ def initial_velocity(cfg: RunConfig, grid: TorusGrid2D, seed: int) -> SpectralFi
     if kind == "random_seeded":
         rng = SplitMix64(seed)
         kmax = cfg.get("ic", "kmax", 4)
+        _in_band(grid, "kmax", (kmax, kmax))
         slope = cfg.get("ic", "spectrum_slope", -2.0)
         amp = cfg.get("ic", "amp", 0.2)
         psi = field_from_modes(grid, random_modes(rng, kmax, slope))
@@ -450,7 +464,7 @@ def _exp_jacobi(cfg: RunConfig, outdir: str, seed: int) -> dict:
         errors.append(err)
         rows.append((eps, err))
     write_csv(os.path.join(outdir, "fd_check.csv"), ["epsilon", "fd_vs_linearized_error"], rows)
-    diag = {"fd_error_ratio": errors[0] / errors[1] if len(errors) > 1 else float("nan")}
+    diag = {"fd_error_ratio": errors[0] / errors[1]}
 
     # steady tangential field: norm constancy along a steady single-mode geodesic
     us = stream_mode(grid, (0, 1), 1.0)

@@ -1,4 +1,4 @@
-"""Camassa-Holm suite: Eulerian and spray forms, energy, 1D geometry."""
+"""Camassa-Holm suite: Eulerian and spray forms, energy."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,8 @@ from alpha_fluids.camassa_holm import (
     MonotonicityError,
     ch_energy,
     ch_rhs_eulerian,
-    ch_sectional_curvature,
     ch_spray_step,
-    cd_1d,
     eulerian_from_lagrangian,
-    frakU_1d,
-    inner_h1,
     lagrangian_from_velocity,
     run_ch,
     run_spray,
@@ -192,87 +188,6 @@ class TestSprayForm:
         nodes = np.linspace(0.1, 1.0, 11)
         with pytest.raises(ValueError):
             CHLagrangianState(nodes, np.zeros_like(nodes))
-
-
-class TestFrakU1D:
-    def test_periodic_hand_value(self):
-        n = 512
-        x = periodic_grid(n)
-        out = frakU_1d(np.sin(x), np.sin(x), "periodic")
-        assert np.abs(out - 0.1 * np.sin(2 * x)).max() < 1e-4
-
-    def test_zero_argument(self):
-        x = periodic_grid(64)
-        assert np.abs(frakU_1d(np.sin(x), np.zeros_like(x), "periodic")).max() == 0.0
-
-    def test_dirichlet_dense_oracle(self):
-        n = 101
-        rng = np.random.default_rng(3)
-        u, v = rng.standard_normal(n), rng.standard_normal(n)
-        out = frakU_1d(u, v, "dirichlet")
-        # oracle: same second-order stencils, dense LU solve
-        h = 1.0 / (n + 1)
-        fu = np.concatenate([[0.0], u, [0.0]])
-        fv = np.concatenate([[0.0], v, [0.0]])
-
-        def d(full):
-            out_ = np.empty_like(full)
-            out_[1:-1] = (full[2:] - full[:-2]) / (2 * h)
-            out_[0] = (-3 * full[0] + 4 * full[1] - full[2]) / (2 * h)
-            out_[-1] = (3 * full[-1] - 4 * full[-2] + full[-3]) / (2 * h)
-            return out_
-
-        w = fu * fv + 0.5 * d(fu) * d(fv)
-        rhs = (w[2:] - w[:-2]) / (2 * h)
-        c = 1.0 / h**2
-        dense = np.diag(np.full(n, 1 + 2 * c)) + np.diag(np.full(n - 1, -c), 1) + np.diag(np.full(n - 1, -c), -1)
-        oracle = np.linalg.solve(dense, rhs)
-        assert np.abs(out - oracle).max() < 1e-10
-
-    def test_symmetry_and_bilinearity(self):
-        n = 128
-        rng = np.random.default_rng(4)
-        u, v = rng.standard_normal(n), rng.standard_normal(n)
-        s = frakU_1d(u, v, "periodic")
-        scale = max(np.abs(s).max(), 1.0)
-        assert np.abs(s - frakU_1d(v, u, "periodic")).max() < 1e-11 * scale
-        assert np.abs(frakU_1d(2.0 * u, v, "periodic") - 2.0 * frakU_1d(u, v, "periodic")).max() < 1e-11 * scale
-
-    def test_mismatched_grids(self):
-        with pytest.raises(ValueError):
-            frakU_1d(np.zeros(16), np.zeros(32), "periodic")
-
-
-class TestCurvature1D:
-    def test_collinear_rejected(self):
-        x = np.sin(periodic_grid(128))
-        with pytest.raises(ValueError):
-            ch_sectional_curvature(x, 1.0001 * x, "periodic")
-
-    def test_scale_invariance(self):
-        xg = periodic_grid(256)
-        x, y = np.sin(xg), np.cos(2 * xg)
-        k1 = ch_sectional_curvature(x, y, "periodic")
-        k2 = ch_sectional_curvature(2.0 * x, 0.5 * y, "periodic")
-        assert k2 == pytest.approx(k1, rel=1e-9)
-
-    def test_grid_refinement_stability(self):
-        vals = []
-        for n in (256, 512, 1024):
-            xg = periodic_grid(n)
-            vals.append(ch_sectional_curvature(np.sin(xg), np.cos(2 * xg), "periodic"))
-        d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
-        assert d1 / d2 >= 3.5  # second-order self-convergence
-
-    def test_covariant_derivative_metric_compatibility(self):
-        # <cd(x,y), z> + <y, cd(x,z)> = 0 for the right-invariant H^1 metric
-        n = 1024
-        xg = periodic_grid(n)
-        x, y, z = np.sin(xg), np.cos(2 * xg), np.sin(3 * xg)
-        s = inner_h1(cd_1d(x, y, "periodic"), z, "periodic")
-        s += inner_h1(y, cd_1d(x, z, "periodic"), "periodic")
-        scale = np.sqrt(inner_h1(x, x, "periodic") * inner_h1(y, y, "periodic") * inner_h1(z, z, "periodic"))
-        assert abs(s) < 1e-4 * scale  # second-order discretization residual
 
 
 class TestValidation:

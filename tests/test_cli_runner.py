@@ -150,6 +150,11 @@ BLOB = (
 CH = "[run]\nexperiment = ch\n[experiment]\nn = 32\nbc = periodic\n[ic]\namp = 0.1\nk = 1\n[time]\ndt = 0.01\nt_final = 0.02\n"
 
 
+RANDOM_16 = SINGLE_16.replace("kind = single_mode\nk = 1 0\namp = 0.5", "kind = random_seeded\nkmax = 3")
+TWO_MODE_16 = SINGLE_16.replace("kind = single_mode\nk = 1 0\namp = 0.5", "kind = two_mode\nk1 = 1 0\nk2 = 2 1")
+JACOBI_16 = TWO_MODE_16.replace("simulate2d", "jacobi") + "[experiment]\nepsilons = 1e-4 5e-5\n"
+
+
 class TestShapeAndFiniteness:
     """Short tuples and non-finite amplitudes end in exit 1 with one error line: at parse
     time with the line number, or from the driver that indexes [ic] k."""
@@ -168,6 +173,14 @@ class TestShapeAndFiniteness:
         ("alpha-sweep", SWEEP, "alphas = 0.0 0.5", "alphas ="),
         ("alpha-sweep", SWEEP, "alphas = 0.0 0.5", "alphas = 0.0 -0.5"),
         ("alpha-sweep", SWEEP, "alphas = 0.0 0.5", "alphas = 0.0 nan"),
+        ("jacobi", JACOBI_16, "epsilons = 1e-4 5e-5", "epsilons = 0"),
+        ("jacobi", JACOBI_16, "epsilons = 1e-4 5e-5", "epsilons = 1e-4"),
+        ("jacobi", JACOBI_16, "epsilons = 1e-4 5e-5", "epsilons = 1e-4 1e-4"),
+        ("jacobi", JACOBI_16, "epsilons = 1e-4 5e-5", "epsilons = 1e-4 0"),
+        ("jacobi", JACOBI_16, "epsilons = 1e-4 5e-5", "epsilons = inf"),
+        ("jacobi", JACOBI_16, "epsilons = 1e-4 5e-5", "epsilons = 1e-4 nan"),
+        ("simulate2d", RANDOM_16, "kmax = 3", "kmax = 3\nspectrum_slope = nan"),
+        ("simulate2d", RANDOM_16, "kmax = 3", "kmax = 3\nspectrum_slope = -inf"),
     ]
     DRIVER_CASES = [
         ("alpha-sweep", SWEEP, "k = 1 0", "k = 2"),
@@ -210,6 +223,51 @@ class TestShapeAndFiniteness:
         out = tmp_path / "out"
         assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 0
         assert read_manifest(out)["status"] == "COMPLETE"
+
+
+class TestIcWavevectorBand:
+    """A torus ic wavevector that is (0, 0), or that lies outside the 2/3 band
+    state_from_velocity keeps, is a config error from the driver: it would
+    integrate a flow at rest, or one aliased onto a lower mode."""
+
+    CASES = [
+        (SINGLE_16, "k = 1 0", "k = 0 0", "k"),
+        (SINGLE_16, "k = 1 0", "k = 8 0", "k"),
+        (SINGLE_16, "k = 1 0", "k = 100 0", "k"),
+        (SINGLE_16, "k = 1 0", "k = 0 -6", "k"),
+        (TWO_MODE_16, "k1 = 1 0", "k1 = 0 0", "k1"),
+        (TWO_MODE_16, "k2 = 2 1", "k2 = 0 0", "k2"),
+        (TWO_MODE_16, "k2 = 2 1", "k2 = 2 6", "k2"),
+        (RANDOM_16, "kmax = 3", "kmax = 6", "kmax"),
+        (RANDOM_16, "kmax = 3", "kmax = 40", "kmax"),
+    ]
+
+    @pytest.mark.parametrize("text, old, new, key", CASES, ids=[c[2] for c in CASES])
+    def test_rejected_by_driver(self, tmp_path, capsys, text, old, new, key):
+        assert old in text
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: [ic] {key} ")
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert manifest["abort_reason"].startswith(f"[ic] {key} ")
+
+    @pytest.mark.parametrize("text, old, new", [
+        (SINGLE_16, "k = 1 0", "k = 5 -5"),
+        (TWO_MODE_16, "k2 = 2 1", "k2 = -5 5"),
+        (RANDOM_16, "kmax = 3", "kmax = 5"),
+    ], ids=["k = 5 -5", "k2 = -5 5", "kmax = 5"])
+    def test_band_edge_still_runs(self, tmp_path, text, old, new):
+        cfg_path = tmp_path / "ok.cfg"
+        cfg_path.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["status"] == "COMPLETE"
+        assert float(manifest["energy_final"]) > 0.0
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Flow-map advection, exact evaluation, volume/transport checks, exp maps."""
+"""Flow-map co-advection, exact evaluation, volume/transport checks."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,9 @@ from alpha_fluids.dynamics import DissipationMode, VorticityState, run, state_fr
 from alpha_fluids.flowmap import (
     _EVAL_TRUNCATION,
     FlowMap,
-    FrozenVelocity,
     SnapshotVelocity,
-    advect_flow_map,
     co_advect,
     eval_field_at,
-    exponential_map,
-    flow_map_distance,
     make_lattice,
     transport_check,
     volume_check,
@@ -199,36 +195,6 @@ class TestEvalVelocity:
         assert np.abs(vals - np.cos(2 * pts[:, 0] + pts[:, 1])).max() < 1e-13
 
 
-class TestAdvectFlowMap:
-    def test_uniform_translation_exact(self):
-        g = make_grid(16, 16)
-        u = to_spectral(g, np.stack([np.full((16, 16), 0.7), np.full((16, 16), -0.3)]))
-        fmap = advect_flow_map(FrozenVelocity(u), make_lattice(g, 8), 0.05, 1.0)
-        expected = make_lattice(g, 8).reference + np.array([0.7, -0.3])
-        assert np.abs(fmap.positions - expected).max() < 1e-12
-
-    def test_steady_shear_closed_form(self):
-        g = make_grid(32, 32)
-        u = shear_field(g)
-        T = 1.0
-        fmap = advect_flow_map(FrozenVelocity(u), make_lattice(g, 16), 1e-2, T)
-        ref = make_lattice(g, 16).reference
-        expected_x = ref[..., 0] + T * np.sin(ref[..., 1])
-        assert np.abs(fmap.positions[..., 0] - expected_x).max() < 1e-8  # O(dt^4)
-        assert np.abs(fmap.positions[..., 1] - ref[..., 1]).max() < 1e-12
-
-    def test_zero_velocity_identity(self):
-        g = make_grid(16, 16)
-        z = to_spectral(g, np.zeros((2, 16, 16)))
-        fmap = advect_flow_map(z, make_lattice(g, 8), 0.1, 1.0)
-        assert np.abs(fmap.displacement()).max() == 0.0
-
-    def test_bad_steps_rejected(self):
-        g = make_grid(16, 16)
-        with pytest.raises(ValueError):
-            advect_flow_map(shear_field(g), make_lattice(g, 8), 0.0, 1.0)
-
-
 def predecessor_rk4_particles(pos_flat, source, t, dt):
     """Particle RK4 that evaluates (and folds) the field anew at every stage."""
     mid = source.at(t + 0.5 * dt)
@@ -239,19 +205,7 @@ def predecessor_rk4_particles(pos_flat, source, t, dt):
     return pos_flat + (dt / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
 
 
-# -- the hand-written loops that integrate.march replaced, kept as bitwise oracles --
-
-
-def predecessor_advect_flow_map(source, fmap, dt, T):
-    m = fmap.m
-    pos = fmap.positions.reshape(m * m, 2).copy()
-    t = fmap.t
-    for _ in range(max(1, round(T / dt))):
-        pos = predecessor_rk4_particles(pos, source, t, dt)
-        t += dt
-        if not np.isfinite(pos).all():
-            raise FloatingPointError(f"particle positions lost finiteness at t={t:g}")
-    return fmap.with_positions(pos.reshape(m, m, 2), t)
+# -- the hand-written loop that integrate.march replaced, kept as a bitwise oracle --
 
 
 def predecessor_co_advect(state, mode, dt, T, fmap):
@@ -297,23 +251,14 @@ class TestFoldOncePerStep:
         assert_same_flow_map(new, old)
         assert new_state.q.coeffs.tobytes() == old_state.q.coeffs.tobytes()
 
-    @pytest.mark.parametrize("frozen", [True, False])
-    def test_advect_flow_map_matches_predecessor_bitwise(self, frozen):
-        g = make_grid(16, 16)
-        u0, u1, u2 = (c * shear_field(g) + stream_mode(g, (1, 1), 0.3) for c in (1.0, 1.5, -0.5))
-        source = FrozenVelocity(u0) if frozen else SnapshotVelocity(0.3, 0.1, [u0, u1, u2])
-        fmap = make_lattice(g, 8)
-        fmap = fmap.with_positions(fmap.positions, 0.3)  # the parent's accumulated t carries on
-        new = advect_flow_map(source, fmap, 0.03, 0.2)
-        assert_same_flow_map(new, predecessor_advect_flow_map(source, fmap, 0.03, 0.2))
-
     def test_each_distinct_field_folded_once(self, monkeypatch):
         fold = flowmap._folded
         folded = []
         monkeypatch.setattr(flowmap, "_folded", lambda f: folded.append(f) or fold(f))
         g = make_grid(16, 16)
         u0, u1 = shear_field(g), 2.0 * shear_field(g)
-        advect_flow_map(SnapshotVelocity(0.0, 0.1, [u0, u1]), make_lattice(g, 8), 0.1, 0.1)
+        pos = make_lattice(g, 8).positions.reshape(64, 2)
+        flowmap._rk4_particles(pos, SnapshotVelocity(0.0, 0.1, [u0, u1]), 0.0, 0.1)
         assert len(folded) == 3  # t, t + dt/2 (stages 2 and 3), t + dt
         assert mode(folded[0], 0, 1)[0] == pytest.approx(-0.75j)  # the midpoint, 1.5 (sin y, 0)
 
@@ -371,53 +316,6 @@ class TestTransportCheck:
         st = two_mode_setup(g)
         st_end, fmap = co_advect(st, DissipationMode.inviscid(), 1e-3, 0.25, make_lattice(g, 16))
         assert transport_check(st.q, st_end.q, fmap) < 1e-6
-
-
-class TestExponentialMaps:
-    def test_t_zero_identity(self):
-        g = make_grid(32, 32)
-        u = shear_field(g)
-        for kind in ("group", "riemannian"):
-            fmap = exponential_map(u, 0.0, kind, 1e-2, alpha=AlphaParam(0.2))
-            assert np.abs(fmap.displacement()).max() == 0.0
-
-    def test_steady_mode_kinds_coincide(self):
-        g = make_grid(32, 32)
-        u = shear_field(g)
-        a = AlphaParam(0.4)
-        riem = exponential_map(u, 0.5, "riemannian", 2e-3, alpha=a, m=16)
-        grp = exponential_map(u, 0.5, "group", 2e-3, m=16)
-        assert flow_map_distance(riem, grp) < 1e-9
-
-    def test_generic_divergence_is_second_order(self):
-        g = make_grid(32, 32)
-        a = AlphaParam(0.3)
-        psi = cosine_field(g, (1, 0), 0.5) + cosine_field(g, (2, 1), 0.4, 0.7)
-        u = derivative(psi, "perp_gradient")
-        dist = []
-        for T in (0.4, 0.2, 0.1):
-            riem = exponential_map(u, T, "riemannian", 1e-3, alpha=a, m=8)
-            grp = exponential_map(u, T, "group", 1e-3, m=8)
-            dist.append(flow_map_distance(riem, grp))
-        orders = np.log2(np.array(dist[:-1]) / np.array(dist[1:]))
-        assert (orders >= 1.8).all()
-
-    def test_riemannian_requires_alpha(self):
-        g = make_grid(16, 16)
-        with pytest.raises(ValueError):
-            exponential_map(shear_field(g), 0.1, "riemannian", 1e-2)
-        with pytest.raises(ValueError):
-            exponential_map(shear_field(g), 0.1, "sideways", 1e-2)
-
-    def test_geodesic_time_scaling(self):
-        # Exp(t u0) homogeneity: (u0, 2T, dt) and (2 u0, T, dt/2) share endpoints
-        g = make_grid(32, 32)
-        a = AlphaParam(0.3)
-        psi = cosine_field(g, (1, 0), 0.3) + cosine_field(g, (1, 1), 0.2, 0.4)
-        u = derivative(psi, "perp_gradient")
-        m1 = exponential_map(u, 0.4, "riemannian", 1e-3, alpha=a, m=8)
-        m2 = exponential_map(2.0 * u, 0.2, "riemannian", 5e-4, alpha=a, m=8)
-        assert flow_map_distance(m1, m2) < 1e-9
 
 
 def test_co_advect_zero_dt_rejected():

@@ -22,7 +22,6 @@ from alpha_fluids.geometry import (
     DegeneratePlaneError,
     JacobiTrajectory,
     SupportOverflowError,
-    M_op,
     _clean,
     _exact_product,
     _form,
@@ -54,7 +53,6 @@ from alpha_fluids.spectral import (
     make_grid,
     mode,
     norm_alpha,
-    norm_hs,
     to_physical,
     to_physical_padded,
     to_spectral,
@@ -477,38 +475,6 @@ class TestCovariantDerivative:
         momentum = leray_project(helmholtz_inverse(adv_m - a.alpha_sq * gtf, a))
         cduu = covariant_derivative(u, u, a)
         assert np.abs((cduu - momentum).coeffs).max() < 1e-12 * max(1.0, np.abs(cduu.coeffs).max())
-
-
-class TestMOp:
-    def test_steady_shear_is_pure_gradient_part(self):
-        g = make_grid(32, 32)
-        a = AlphaParam(0.5)
-        u = stream_mode(g, (0, 1))
-        out = M_op(u, u, a)
-        adv = advect(u, u)
-        grad_part = adv - leray_project(adv)
-        # calU(shear) is gradient-type, so P frakU contributes nothing here
-        assert np.abs(out.coeffs - grad_part.coeffs).max() < 1e-12
-
-    def test_zero_inputs(self):
-        g = make_grid(16, 16)
-        z = zero_field(g, "vector")
-        assert np.abs(M_op(z, z, AlphaParam(0.4)).coeffs).max() == 0.0
-
-    def test_h3_boundedness_sweep(self):
-        g = make_grid(32, 32)
-        a = AlphaParam(0.5)
-        ratios = []
-        for seed in range(100):
-            x = rand_stream(g, 1000 + seed)
-            y = rand_stream(g, 2000 + seed)
-            num = norm_hs(M_op(x, y, a), 3.0)
-            den = norm_hs(x, 3.0) * norm_hs(y, 3.0)
-            if den > 0:
-                ratios.append(num / den)
-        ratios = np.asarray(ratios)
-        assert np.isfinite(ratios).all()
-        assert ratios.max() < 20.0 * np.median(ratios)
 
 
 class TestCurvatureOp:
