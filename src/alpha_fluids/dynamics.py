@@ -11,14 +11,15 @@ Velocity is recovered by omega = (1 - alpha^2 Lap)^{-1} q, Lap psi = omega,
 u = perp_grad psi, with the mean (k = 0) velocity carried separately since q
 holds no mean-flow information.
 
-A right-hand side makes one transform pair: (u_x, u_y, dx q, dy q) go to the
-grid in one inverse transform, u . grad q comes back in one forward transform.
-Multipliers and the 2/3 mask come from spectral's tables, the stages call
-the gradient kernels that spectral.derivative wraps, and every operation
-rounds as the field-by-field formulation did, bit for bit.
+Every right-hand side makes one transform pair, with multipliers and masks
+from spectral's tables.  rhs_vorticity sends (u_x, u_y, dx q, dy q) to the grid
+and brings u . grad q back, rounding as the field-by-field formulation did,
+bit for bit.
 
 The third-grade extension, whose cubic stress term has no compact vorticity
 form, is integrated in primitive (momentum) variables with Leray projection.
+Its right-hand side takes the stress divergences on the coefficients, so it
+agrees with the field-by-field assembly to roundoff.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .spectral import (
     SpectralField,
     TorusGrid2D,
     _zero_nyquist,
-    dealias_half,
     dealias_two_thirds,
     derivative,
-    grad_components,
     gradient_into,
     hermitianize,
     perp_gradient_into,
@@ -48,7 +47,6 @@ from .spectral import (
     sum_modes,
     to_physical,
     to_physical_padded,
-    to_spectral,
     to_spectral_padded,
 )
 
@@ -319,63 +317,52 @@ def third_grade_rhs(u: SpectralField, p: ThirdGradeParams) -> SpectralField:
     with A = Du + Du^t, then returns Leray[(1 - alpha1 Lap)^{-1} F].  At
     alpha2 = beta = 0 the alpha1-group is a pure gradient and the right side
     reduces to the averaged (second-grade) system.
+
+    One inverse transform of (u, Du, Lap u, grad m), plus the 1/2-rule Du when
+    beta != 0, and one forward transform of the products and both stresses,
+    whose divergences are taken on the coefficients.
     """
     if not u.is_vector:
         raise ValueError("third_grade_rhs expects a velocity field")
-    g = u.grid
-    alpha = p.alpha
-    D = grad_components(u)                       # D[i,j] = d_j u^i, physical
-    lap_u = to_physical(derivative(u, "laplacian"))
-    m = helmholtz_apply(u, alpha)
-    grad_m = [to_physical(derivative(m.component(i), "gradient")) for i in range(2)]
-    up = to_physical(u)
-
-    F = np.empty((2, g.nx, g.ny))
-    for i in range(2):
-        # -(u . grad) m
-        F[i] = -(up[0] * grad_m[i][0] + up[1] * grad_m[i][1])
-        # + alpha1 (Du)^t Lap u : sum_j d_i u^j Lap u^j
-        F[i] += p.alpha1 * (D[0][i] * lap_u[0] + D[1][i] * lap_u[1])
-    # (alpha1 + alpha2) [ A Lap u + 2 div(Du Du^t) ]
-    c = p.alpha1 + p.alpha2
-    if c != 0.0:
-        A = np.array([[2.0 * D[0][0], D[0][1] + D[1][0]], [D[0][1] + D[1][0], 2.0 * D[1][1]]])
-        for i in range(2):
-            F[i] += c * (A[i][0] * lap_u[0] + A[i][1] * lap_u[1])
-        # div(Du Du^t): T_{ij} = sum_m d_m u^i d_m u^j
-        T = np.empty((2, 2, g.nx, g.ny))
-        for i in range(2):
-            for j in range(2):
-                T[i, j] = D[i][0] * D[j][0] + D[i][1] * D[j][1]
-        divT = _matrix_divergence(g, T)
-        F += 2.0 * c * divT
-    out = dealias_two_thirds(to_spectral(g, F))
+    g, c, alpha = u.grid, u.coeffs, p.alpha
+    cubic = p.beta != 0.0
+    # vector pairs: u, d_x u, d_y u, Lap u, d_x m, d_y m [, d_x u, d_y u of the 1/2 band]
+    stack = np.empty((8 if cubic else 6, 2) + g.coeff_shape, dtype=np.complex128)
+    stack[0] = c
+    gradient_into(stack[1:3], c, g)
+    np.multiply(g.laplacian, c, out=stack[3])
+    _zero_nyquist(stack[3])
+    gradient_into(stack[4:6], smoothing(g, alpha.alpha_sq) * c, g)
+    if cubic:
+        # Keep |j| <= (n-1)//4: a triple product of retained modes (support
+        # 3K <= n - 1 - K) then aliases only into the zeroed band, so the
+        # retained coefficients of the cubic term are exact.
+        gradient_into(stack[6:8], c, g)
+        np.copyto(stack[6:8], 0.0, where=g.drop_half)
+    s = to_physical(FieldStack(g, stack.reshape((-1,) + g.coeff_shape))).reshape(stack.shape[:2] + g.shape)
+    up, D, lap, gm = s[0], s[1:3], s[3], s[4:6]  # D[j, i] = d_j u^i
+    A = D + D.swapaxes(0, 1)
+    rows, cols = [0, 0, 1], [0, 1, 1]  # the entries 00, 01, 11 of a symmetric matrix
+    prod = np.empty((8 if cubic else 5,) + g.shape)
+    F = prod[:2]
+    np.negative(up[0] * gm[0] + up[1] * gm[1], out=F)
+    F += p.alpha1 * (D[:, 0] * lap[0] + D[:, 1] * lap[1])
+    F += (p.alpha1 + p.alpha2) * (A[:, 0] * lap[0] + A[:, 1] * lap[1])
+    prod[2:5] = D[0, rows] * D[0, cols] + D[1, rows] * D[1, cols]  # Du Du^t
+    if cubic:
+        Ah = s[6:8] + s[6:8].swapaxes(0, 1)
+        prod[5:8] = (Ah[0, 0] ** 2 + 2.0 * Ah[0, 1] ** 2 + Ah[1, 1] ** 2) * Ah[rows, cols]
+    h = to_spectral_padded(g, prod)
+    # div T = (ikx T_00 + iky T_01, ikx T_01 + iky T_11); the masks drop the Nyquist modes
+    out = h[:2] + 2.0 * (p.alpha1 + p.alpha2) * (g.ikx * h[2:4] + g.iky * h[3:5])
+    np.copyto(out, 0.0, where=g.drop_two_thirds)
     if p.nu > 0.0:
-        out = out + p.nu * derivative(u, "laplacian")
-    if p.beta != 0.0:
-        out = out + p.beta * _cubic_stress_divergence(u, g)
-    return leray_project(helmholtz_inverse(out, alpha))
-
-
-def _matrix_divergence(g: TorusGrid2D, T: np.ndarray) -> np.ndarray:
-    """(div T)^i = d_j T_{ij} of physical-space matrix samples, back in physical space."""
-    out = np.empty((2, g.nx, g.ny))
-    for i in range(2):
-        row = to_spectral(g, T[i])
-        div = derivative(row, "divergence")
-        out[i] = to_physical(div)
-    return out
-
-
-def _cubic_stress_divergence(u: SpectralField, g: TorusGrid2D) -> SpectralField:
-    """div[Tr(A A^t) A] with the 1/2-rule truncation appropriate to a cubic term."""
-    ut = dealias_half(u)
-    D = grad_components(ut)
-    A = np.array([[2.0 * D[0][0], D[0][1] + D[1][0]], [D[0][1] + D[1][0], 2.0 * D[1][1]]])
-    trAA = A[0][0] ** 2 + 2.0 * A[0][1] ** 2 + A[1][1] ** 2
-    T = trAA * A
-    divT = _matrix_divergence(g, T)
-    return dealias_half(to_spectral(g, divT))
+        out += p.nu * stack[3]
+    if cubic:
+        cubic_div = g.ikx * h[5:7] + g.iky * h[6:8]
+        np.copyto(cubic_div, 0.0, where=g.drop_half)
+        out += p.beta * cubic_div
+    return leray_project(helmholtz_inverse(SpectralField._adopt(g, out), alpha))
 
 
 def step_third_grade_rk4(u: SpectralField, dt: float, p: ThirdGradeParams) -> SpectralField:

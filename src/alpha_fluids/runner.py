@@ -423,6 +423,11 @@ def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int) -> dict:
     eps = tuple(cfg.get("experiment", "eps", (0, 1)))
     alphas = cfg.get("experiment", "alphas", tuple(np.linspace(0.0, 1.0, 21)))
     l = (k[0] + eps[0], k[1] + eps[1])
+    if (0, 0) in (k, l) or l in (k, (-k[0], -k[1])):
+        raise ConfigError(
+            f"[ic] k and [experiment] eps give the modes k = ({k[0]}, {k[1]}) and l = k + eps = "
+            f"({l[0]}, {l[1]}), which span no plane: both must be nonzero, and l must not be k or -k"
+        )
     grid = grid_for_modes(k, l)
     x = stream_mode(grid, k)
     y = stream_mode(grid, l)

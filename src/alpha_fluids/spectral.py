@@ -364,29 +364,12 @@ def _zero_nyquist(c: np.ndarray) -> None:
     c[..., -1] = 0.0
 
 
-def grad_components(u: SpectralField) -> np.ndarray:
-    """Physical-space velocity gradient samples G[i,j] = d_j u^i, shape (2,2,nx,ny)."""
-    if not u.is_vector:
-        raise ValueError("grad_components expects a vector field")
-    return np.stack([to_physical(derivative(u.component(i), "gradient")) for i in range(2)])
-
-
 # -- dealiasing ----------------------------------------------------------------
 
 
 def dealias_two_thirds(f: SpectralField) -> SpectralField:
     """2/3-rule truncation for quadratic pseudospectral products: zero |jx| > nx/3 or |jy| > ny/3."""
     return SpectralField._adopt(f.grid, np.where(f.grid.drop_two_thirds, 0.0, f.coeffs))
-
-
-def dealias_half(f: SpectralField) -> SpectralField:
-    """1/2-rule truncation for cubic products.
-
-    Keeps |j| <= (n-1)//4: with that cutoff a triple product of retained modes
-    (support 3K <= n - 1 - K) aliases only into the zeroed band, so the
-    retained coefficients are exact.
-    """
-    return SpectralField._adopt(f.grid, np.where(f.grid.drop_half, 0.0, f.coeffs))
 
 
 # -- inner products and norms ---------------------------------------------------

@@ -270,6 +270,32 @@ class TestIcWavevectorBand:
         assert float(manifest["energy_final"]) > 0.0
 
 
+class TestSweepPlane:
+    """An alpha-sweep whose stream modes k and l = k + eps span no plane (one of
+    them the mean mode, or l = +-k) is a config error from the driver, not a
+    numerical abort."""
+
+    CASES = [
+        ("k = 1 0", "k = 0 0", "eps = 0 1", "eps = 0 1"),
+        ("k = 1 0", "k = 1 0", "eps = 0 1", "eps = 0 0"),
+        ("k = 1 0", "k = 1 0", "eps = 0 1", "eps = -2 0"),
+        ("k = 1 0", "k = 1 0", "eps = 0 1", "eps = -1 0"),
+    ]
+
+    @pytest.mark.parametrize("old_k, new_k, old_eps, new_eps", CASES, ids=["k = 0", "l = k", "l = -k", "l = 0"])
+    def test_rejected_by_driver(self, tmp_path, capsys, old_k, new_k, old_eps, new_eps):
+        assert old_k in SWEEP and old_eps in SWEEP
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(SWEEP.replace(old_k, new_k).replace(old_eps, new_eps))
+        out = tmp_path / "out"
+        assert main(["alpha-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [ic] k and [experiment] eps ") and "span no plane" in err[0]
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert "span no plane" in manifest["abort_reason"]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(SMALL_2D)

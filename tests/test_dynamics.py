@@ -147,6 +147,72 @@ def predecessor_step_third_grade_rk4(u, dt, p):
     return u_new
 
 
+# -- the field-by-field third-grade right-hand side, kept as an oracle ------------------
+
+
+def predecessor_grad_components(u):
+    """Physical-space velocity gradient samples G[i,j] = d_j u^i, shape (2,2,nx,ny)."""
+    return np.stack([to_physical(derivative(u.component(i), "gradient")) for i in range(2)])
+
+
+def predecessor_dealias_half(f):
+    """1/2-rule truncation for cubic products."""
+    return SpectralField._adopt(f.grid, np.where(f.grid.drop_half, 0.0, f.coeffs))
+
+
+def predecessor_matrix_divergence(g, T):
+    """(div T)^i = d_j T_{ij} of physical-space matrix samples, back in physical space."""
+    out = np.empty((2, g.nx, g.ny))
+    for i in range(2):
+        out[i] = to_physical(derivative(to_spectral(g, T[i]), "divergence"))
+    return out
+
+
+def predecessor_cubic_stress_divergence(u, g):
+    """div[Tr(A A^t) A] with the 1/2-rule truncation appropriate to a cubic term."""
+    D = predecessor_grad_components(predecessor_dealias_half(u))
+    A = np.array([[2.0 * D[0][0], D[0][1] + D[1][0]], [D[0][1] + D[1][0], 2.0 * D[1][1]]])
+    trAA = A[0][0] ** 2 + 2.0 * A[0][1] ** 2 + A[1][1] ** 2
+    return predecessor_dealias_half(to_spectral(g, predecessor_matrix_divergence(g, trAA * A)))
+
+
+def predecessor_third_grade_rhs(u, p):
+    """du/dt for the third-grade system, assembled field by field: 12 inverse and 6 forward transforms."""
+    g = u.grid
+    alpha = p.alpha
+    D = predecessor_grad_components(u)  # D[i,j] = d_j u^i, physical
+    lap_u = to_physical(derivative(u, "laplacian"))
+    m = helmholtz_apply(u, alpha)
+    grad_m = [to_physical(derivative(m.component(i), "gradient")) for i in range(2)]
+    up = to_physical(u)
+    F = np.empty((2, g.nx, g.ny))
+    for i in range(2):
+        F[i] = -(up[0] * grad_m[i][0] + up[1] * grad_m[i][1])
+        F[i] += p.alpha1 * (D[0][i] * lap_u[0] + D[1][i] * lap_u[1])
+    c = p.alpha1 + p.alpha2
+    A = np.array([[2.0 * D[0][0], D[0][1] + D[1][0]], [D[0][1] + D[1][0], 2.0 * D[1][1]]])
+    for i in range(2):
+        F[i] += c * (A[i][0] * lap_u[0] + A[i][1] * lap_u[1])
+    T = np.empty((2, 2, g.nx, g.ny))
+    for i in range(2):
+        for j in range(2):
+            T[i, j] = D[i][0] * D[j][0] + D[i][1] * D[j][1]
+    F += 2.0 * c * predecessor_matrix_divergence(g, T)
+    out = dealias_two_thirds(to_spectral(g, F))
+    if p.nu > 0.0:
+        out = out + p.nu * derivative(u, "laplacian")
+    if p.beta != 0.0:
+        out = out + p.beta * predecessor_cubic_stress_divergence(u, g)
+    return leray_project(helmholtz_inverse(out, alpha))
+
+
+THIRD_GRADE_PARAMS = [
+    ThirdGradeParams(alpha1=0.09),
+    ThirdGradeParams(alpha1=0.36, nu=0.01),
+    ThirdGradeParams(alpha1=0.09, alpha2=0.05, beta=0.1, nu=0.02),
+]
+
+
 class TestStateFromVelocity:
     @pytest.mark.parametrize("shape", [(32, 32), NON_SQUARE])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -451,6 +517,27 @@ class TestThirdGrade:
             new, old = step_third_grade_rk4(new, 1e-3, p), predecessor_step_third_grade_rk4(old, 1e-3, p)
             assert_same_bits(new.coeffs, old.coeffs)
 
+    @pytest.mark.parametrize("shape", [(48, 48), NON_SQUARE])
+    @pytest.mark.parametrize("p", THIRD_GRADE_PARAMS, ids=["alpha1", "alpha1-nu", "all"])
+    def test_matches_field_by_field_predecessor(self, shape, p):
+        for seed in range(3):
+            u = random_state(make_grid(*shape), 0.3, seed=seed).velocity()
+            new, old = third_grade_rhs(u, p).coeffs, predecessor_third_grade_rhs(u, p).coeffs
+            assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
+
+    @pytest.mark.parametrize("p", THIRD_GRADE_PARAMS, ids=["alpha1", "alpha1-nu", "all"])
+    def test_one_transform_pair_per_call(self, p, monkeypatch):
+        u = random_state(make_grid(*NON_SQUARE), 0.3).velocity()
+        calls = []
+        for name in ("to_physical", "to_spectral_padded"):
+            transform = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda *a, _n=name, _t=transform: calls.append(_n) or _t(*a))
+        for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+            transform = getattr(scipy.fft, name)
+            monkeypatch.setattr(scipy.fft, name, lambda *a, _t=transform, **k: calls.append("fft") or _t(*a, **k))
+        third_grade_rhs(u, p)
+        assert calls == ["to_physical", "fft", "to_spectral_padded", "fft"]
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ThirdGradeParams(alpha1=0.0)
@@ -459,15 +546,18 @@ class TestThirdGrade:
 
     def test_cubic_term_alias_free(self):
         """The 1/2-rule band of the cubic stress term matches a padded-grid
-        reference exactly, mode for mode."""
-        from alpha_fluids.dynamics import _cubic_stress_divergence
-
+        reference exactly, mode for mode.  The term is the beta difference of
+        the right-hand side; Leray and (1 - alpha1 Lap)^{-1} act per mode, so
+        they keep a mode-for-mode match."""
         k_in = (7, 3)  # at the n=32 cubic cutoff (31//4 = 7)
-        g, g2 = make_grid(32, 32), make_grid(64, 64)
-        u = derivative(cosine_field(g, k_in, 0.5), "perp_gradient")
-        u2 = derivative(cosine_field(g2, k_in, 0.5), "perp_gradient")
-        out = _cubic_stress_divergence(u, g)
-        ref = _cubic_stress_divergence(u2, g2)  # alias-free for |j| <= 15 here
+        p0, p1 = ThirdGradeParams(alpha1=0.09), ThirdGradeParams(alpha1=0.09, beta=1.0)
+
+        def cubic_term(n):
+            u = derivative(cosine_field(make_grid(n, n), k_in, 0.5), "perp_gradient")
+            return third_grade_rhs(u, p1) - third_grade_rhs(u, p0)
+
+        out = cubic_term(32)
+        ref = cubic_term(64)  # alias-free for |j| <= 15 here
         scale = np.abs(ref.coeffs).max()
         for jx in range(-7, 8):
             for jy in range(-7, 8):

@@ -20,7 +20,6 @@ from alpha_fluids.spectral import (
     SpectralField,
     _zero_nyquist,
     cosine_field,
-    dealias_half,
     dealias_two_thirds,
     derivative,
     divergence_defect,
@@ -230,7 +229,9 @@ class TestOperatorsMatchPredecessors:
         for rank in ("scalar", "vector"):
             for f in inputs(g, rank, 3):
                 assert_same_bits(dealias_two_thirds(f).coeffs, predecessor_dealias_two_thirds(f).coeffs)
-                assert_same_bits(dealias_half(f).coeffs, predecessor_dealias_half(f).coeffs)
+                half = f.coeffs.copy()  # the 1/2 rule as third_grade_rhs applies it
+                np.copyto(half, 0.0, where=g.drop_half)
+                assert_same_bits(half, predecessor_dealias_half(f).coeffs)
 
     def test_symmetrize_ends(self, shape):
         g = make_grid(*shape)
