@@ -246,7 +246,7 @@ def parse_config(text: str) -> RunConfig:
         value = _parse_value(tag, rawval, lineno)
         try:
             check(value)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # OverflowError: an int past the float range
             raise ConfigError(f"value for {key!r} out of range: {e}", lineno) from None
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)

@@ -1,9 +1,10 @@
 """Flow-map co-advection and volume/transport verification.
 
 Particles realizing eta(t, x) on a reference lattice are advected by
-integrate.rk4 through a time-indexed velocity source.  Nonuniform velocity
-evaluation is exact Fourier summation restricted to the (thresholded) live
-mode block, so evaluation error stays at roundoff.
+integrate.rk4 alongside the solver; each velocity snapshot the solver makes is
+folded into an evaluator once.  Nonuniform velocity evaluation is exact
+Fourier summation restricted to the (thresholded) live mode block, so
+evaluation error stays at roundoff.
 
 Positions are stored unwrapped (eta of a degree-one periodic map), which makes
 the centered-difference Jacobian of volume_check smooth across the seam.
@@ -130,58 +131,27 @@ def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
     return _folded(f)(pts)
 
 
-# -- velocity sources -----------------------------------------------------------------
-
-
-class SnapshotVelocity:
-    """Equispaced velocity snapshots with linear interpolation at stage times."""
-
-    def __init__(self, t0: float, dt: float, fields: list[SpectralField]):
-        if len(fields) < 2:
-            raise ValueError("need at least two snapshots")
-        self.t0 = t0
-        self.dt = dt
-        self.fields = fields
-
-    def at(self, t: float) -> SpectralField:
-        s = (t - self.t0) / self.dt
-        i = min(max(int(math.floor(s)), 0), len(self.fields) - 2)
-        w = min(max(s - i, 0.0), 1.0)
-        a, b = self.fields[i], self.fields[i + 1]
-        if w == 0.0:
-            return a
-        return SpectralField(a.grid, (1.0 - w) * a.coeffs + w * b.coeffs)
-
-
-def _rk4_particles(pos_flat: np.ndarray, source, t: float, dt: float) -> np.ndarray:
-    folds = {t + 0.5 * dt: _folded(source.at(t + 0.5 * dt))}  # one fold per stage time; stages 2 and 3 share this one
-
-    def velocity(ts: float, pos: np.ndarray) -> np.ndarray:
-        if ts not in folds:
-            folds[ts] = _folded(source.at(ts))
-        return folds[ts](pos)
-
-    return rk4(velocity, t, pos_flat, dt)
-
-
 def co_advect(
     state: VorticityState, mode: DissipationMode, dt: float, T: float, fmap: FlowMap
 ) -> tuple[VorticityState, FlowMap]:
     """Step the solver and the flow map together, one snapshot pair at a time.
 
-    Particle RK4 stages use linear time interpolation between consecutive
-    solver snapshots, so memory stays at two velocity fields no matter how
-    long the run is.
+    Particle RK4 over a step from snapshot u_a to u_b reads u_a at t, the mean
+    0.5 (u_a + u_b) at t + dt/2 (stages 2 and 3) and u_b at t + dt.  Each
+    snapshot is folded once: the fold of u_b is the next step's first stage.
+    Memory stays at two velocity fields no matter how long the run is.
     """
 
     def step(c, h):
-        s, pos, n = c
+        s, u_a, f_a, pos, n = c
         new = step_rk4(s, h, mode)
-        source = SnapshotVelocity(s.t, h, [s.velocity(), new.velocity()])
-        return new, _rk4_particles(pos, source, s.t, h), n + 1
+        u_b = new.velocity()
+        f_b = _folded(u_b)
+        folds = {s.t: f_a, s.t + 0.5 * h: _folded(0.5 * (u_a + u_b)), s.t + h: f_b}  # the times rk4 forms
+        return new, u_b, f_b, rk4(lambda t, p: folds[t](p), s.t, pos, h), n + 1
 
-    m, t0 = fmap.m, state.t
-    state, pos, n = march(step, (state, fmap.positions.reshape(m * m, 2), 0), dt, T)
+    m, t0, u0 = fmap.m, state.t, state.velocity()
+    state, _, _, pos, n = march(step, (state, u0, _folded(u0), fmap.positions.reshape(m * m, 2), 0), dt, T)
     return state, fmap.with_positions(pos.reshape(m, m, 2), t0 + n * dt)
 
 

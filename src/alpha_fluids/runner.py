@@ -9,15 +9,17 @@ byte-identical across reruns of the same (config, seed) in single-threaded
 mode; the manifest additionally records wall time, which is exempt.
 
 Exit status contract: 0 success; 1 bad input (a ValueError such as a CFL
-violation by the initial state, or an output directory that cannot be made),
-with one ``error:`` line on stderr; 2 numerical abort (blow-up, a non-finite
-CH velocity, a CFL number the run grows into, non-finite particles, a geometry
-product outgrowing its grid), which keeps the series rows so far
-(_record_series).  Failures in an output directory leave an INCOMPLETE manifest.
+violation by the initial state, or an output directory or artifact that cannot
+be written), with one ``error:`` line on stderr; 2 numerical abort (blow-up, a
+non-finite CH velocity, a CFL number the run grows into, non-finite particles,
+a geometry product outgrowing its grid), which keeps the series rows so far
+(_record_series).  Failures in an output directory leave an INCOMPLETE manifest
+wherever manifest.txt can still be written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -382,7 +384,7 @@ def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int = 1) ->
     tasks = [("inviscid", 0.0)] + [(v, nu) for v in variant_list for nu in nus]
     args = [(cfg, seed, v, nu) for (v, nu) in tasks]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(args))) as pool:
             results = list(pool.map(_viscosity_run, args))
     else:
         results = [_viscosity_run(a) for a in args]
@@ -550,20 +552,26 @@ def run_experiment(cfg: RunConfig, outdir: str, seed: int = 0, threads: int = 1)
         return 1
     t0 = time.monotonic()
     try:
-        if cfg.experiment == "visc-limit":
-            diag = _exp_visc_limit(cfg, outdir, seed, threads)
-        else:
-            driver = _DRIVERS.get(cfg.experiment)
-            if driver is None:
-                raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-            diag = driver(cfg, outdir, seed)
-    except _ABORTS as e:  # caught before ValueError, which DegeneratePlaneError is
-        t_last = getattr(e, "t_last_good", getattr(e, "t", float("nan")))
-        write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e), "t_last_good": t_last})
-        return 2
-    except ValueError as e:
-        write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e)})
+        try:
+            if cfg.experiment == "visc-limit":
+                diag = _exp_visc_limit(cfg, outdir, seed, threads)
+            else:
+                driver = _DRIVERS.get(cfg.experiment)
+                if driver is None:
+                    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+                diag = driver(cfg, outdir, seed)
+        except _ABORTS as e:  # caught before ValueError, which DegeneratePlaneError is
+            t_last = getattr(e, "t_last_good", getattr(e, "t", float("nan")))
+            write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e), "t_last_good": t_last})
+            return 2
+        except ValueError as e:
+            write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e)})
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        write_manifest(outdir, cfg, "COMPLETE", time.monotonic() - t0, diag)
+        return 0
+    except OSError as e:  # an artifact path that cannot be written, manifest.txt included
+        with contextlib.suppress(OSError):
+            write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e)})
         print(f"error: {e}", file=sys.stderr)
         return 1
-    write_manifest(outdir, cfg, "COMPLETE", time.monotonic() - t0, diag)
-    return 0

@@ -110,6 +110,24 @@ class TestInputErrors:
         assert main(["simulate2d", "--config", str(cfg_path), "--out", str(blocker / "out")]) == 1
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("artifact", ["series.csv", "final.ckpt"])
+    def test_artifact_path_is_a_directory(self, tmp_path, capsys, artifact):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SINGLE_16)
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(out)]) == 1
+        self.assert_one_error_line(capsys)
+        assert read_manifest(out)["status"] == "INCOMPLETE"
+
+    def test_manifest_path_is_a_directory(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SINGLE_16)
+        out = tmp_path / "out"
+        (out / "manifest.txt").mkdir(parents=True)
+        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(out)]) == 1
+        self.assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("seed_args, seed_line", [
         (["--seed", "-1"], "seed = 11"),
         (["--seed", str(2**64)], "seed = 11"),
@@ -536,9 +554,7 @@ series_every = 0
         assert len(lines) == 3  # header + first + last
 
 
-class TestSweepParallelism:
-    def test_visc_limit_threads_agree(self, tmp_path):
-        text = """
+VISC_32 = """
 [run]
 experiment = visc-limit
 [grid]
@@ -558,11 +574,36 @@ amps = 0.2 0.15
 nus = 0.1 0.01
 variants = viscous
 """
-        cfg = parse_config(text)
+
+
+class TestSweepParallelism:
+    def test_visc_limit_threads_agree(self, tmp_path):
+        cfg = parse_config(VISC_32)
         out1, out2 = tmp_path / "st", tmp_path / "mt"
         assert run_experiment(cfg, str(out1), seed=0, threads=1) == 0
         assert run_experiment(cfg, str(out2), seed=0, threads=2) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        """A fork pool starts all its workers up front, so --threads must not size it alone."""
+        sizes = []
+
+        class InProcessPool:  # records the size asked for and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        assert run_experiment(parse_config(VISC_32), str(tmp_path), seed=0, threads=100000) == 0
+        assert sizes == [3]  # the inviscid leg and two viscosities of one variant
 
 
 class TestInitialState:

@@ -1,8 +1,12 @@
 """Config parsing, validation, and round-trip serialization."""
 
-import pytest
+import inspect
 
-from alpha_fluids.config import ConfigError, RunConfig, parse_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alpha_fluids.config import _SCHEMA, ConfigError, RunConfig, _any, parse_config
 
 MINIMAL = """
 [run]
@@ -130,3 +134,84 @@ def test_visc_limit_keys_accepted():
     cfg = parse_config(VISC_LIMIT.replace("variants = both", "variants = strong"))
     assert cfg.get("experiment", "nus") == (0.1, 0.01)
     assert cfg.get("experiment", "variants") == "strong"
+
+
+def test_int_past_the_float_range_is_out_of_range():
+    with pytest.raises(ConfigError, match="seed") as exc:
+        parse_config(f"[run]\nexperiment = blob\nseed = {10**400}\n")
+    assert exc.value.line == 3
+
+
+# -- property: every valid config survives serialize and parse -----------------------
+
+# one-line values that parse_config reads back as they are: no line breaks, no edge whitespace
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8).map(str.strip)
+_INTS = st.integers(-(2**66), 2**66) | st.integers(0, 2**66) | st.sampled_from([0, -1, 3, 4])
+_FLOATS = st.floats() | st.floats(allow_nan=False, allow_infinity=False).map(abs)
+
+
+def _passes(check, v) -> bool:
+    try:
+        check(v)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _values(tag, check, valid=True):
+    """Values of one schema key's type tag that its validator accepts (valid) or rejects."""
+    options = inspect.getclosurevars(check).nonlocals.get("options")
+    if valid and options:
+        return st.sampled_from(options)
+    base = {
+        "int": _INTS,
+        "float": _FLOATS,
+        "str": _TEXT,
+        "ints": st.lists(_INTS, max_size=3).map(tuple),
+        "floats": st.lists(_FLOATS, max_size=3).map(tuple),
+    }[tag]
+    return base.filter(lambda v: _passes(check, v) == valid)
+
+
+_VALID = {s: {k: _values(*spec) for k, spec in keys.items()} for s, keys in _SCHEMA.items()}
+
+
+@st.composite
+def _configs(draw):
+    sections = {}
+    for name, schema in _SCHEMA.items():
+        keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True, max_size=4))
+        if name == "run" and "experiment" not in keys:
+            keys.append("experiment")
+        if keys:  # serialize() writes no header for an empty section
+            sections[name] = {k: draw(_VALID[name][k]) for k in keys}
+    return RunConfig(sections["run"]["experiment"], sections)
+
+
+def _line_of(text, section, key):
+    current = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("["):
+            current = line[1:-1]
+        elif current == section and line.startswith(f"{key} = "):
+            return lineno
+    raise AssertionError(f"no line for [{section}] {key}")
+
+
+@settings(max_examples=100, deadline=500)
+@given(_configs())
+def test_serialize_then_parse_is_identity(cfg):
+    assert parse_config(cfg.serialize()) == cfg
+
+
+@settings(max_examples=100, deadline=500)
+@given(st.data())
+def test_one_out_of_range_line_is_named(data):
+    cfg = data.draw(_configs())
+    checked = [(s, k) for s, entries in cfg.sections.items() for k in entries if _SCHEMA[s][k][1] is not _any]
+    section, key = data.draw(st.sampled_from(sorted(checked)))
+    bad = data.draw(_values(*_SCHEMA[section][key], valid=False))
+    text = RunConfig(cfg.experiment, {**cfg.sections, section: {**cfg.sections[section], key: bad}}).serialize()
+    with pytest.raises(ConfigError, match="out of range") as exc:
+        parse_config(text)
+    assert exc.value.line == _line_of(text, section, key)

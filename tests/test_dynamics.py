@@ -563,6 +563,7 @@ class TestThirdGrade:
             for jy in range(-7, 8):
                 d = np.abs(mode(out, jx, jy) - mode(ref, jx, jy)).max()
                 assert d < 1e-13 * scale
+        assert not out.coeffs[:, out.grid.drop_half].any()  # exactly zero past the band
 
 
 class TestAlphaContinuity:

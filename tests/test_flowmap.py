@@ -8,7 +8,6 @@ from alpha_fluids.dynamics import DissipationMode, VorticityState, run, state_fr
 from alpha_fluids.flowmap import (
     _EVAL_TRUNCATION,
     FlowMap,
-    SnapshotVelocity,
     co_advect,
     eval_field_at,
     make_lattice,
@@ -23,7 +22,6 @@ from alpha_fluids.spectral import (
     derivative,
     full_coeffs,
     make_grid,
-    mode,
     to_physical,
     to_spectral,
 )
@@ -195,13 +193,13 @@ class TestEvalVelocity:
         assert np.abs(vals - np.cos(2 * pts[:, 0] + pts[:, 1])).max() < 1e-13
 
 
-def predecessor_rk4_particles(pos_flat, source, t, dt):
+def predecessor_rk4_particles(pos_flat, at, t, dt):
     """Particle RK4 that evaluates (and folds) the field anew at every stage."""
-    mid = source.at(t + 0.5 * dt)
-    u1 = eval_field_at(source.at(t), pos_flat)
+    mid = at(t + 0.5 * dt)
+    u1 = eval_field_at(at(t), pos_flat)
     u2 = eval_field_at(mid, pos_flat + 0.5 * dt * u1)
     u3 = eval_field_at(mid, pos_flat + 0.5 * dt * u2)
-    u4 = eval_field_at(source.at(t + dt), pos_flat + dt * u3)
+    u4 = eval_field_at(at(t + dt), pos_flat + dt * u3)
     return pos_flat + (dt / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
 
 
@@ -209,6 +207,7 @@ def predecessor_rk4_particles(pos_flat, source, t, dt):
 
 
 def predecessor_co_advect(state, mode, dt, T, fmap):
+    """Stage velocities by linear interpolation (1 - w) a + w b between the step's snapshots."""
     m = fmap.m
     pos = fmap.positions.reshape(m * m, 2).copy()
     n_steps = max(1, round(T / dt))
@@ -217,8 +216,12 @@ def predecessor_co_advect(state, mode, dt, T, fmap):
     for _ in range(n_steps):
         new_state = dynamics.step_rk4(state, dt, mode)
         u_next = new_state.velocity()
-        source = SnapshotVelocity(state.t, dt, [u_prev, u_next])
-        pos = predecessor_rk4_particles(pos, source, state.t, dt)
+
+        def at(t, a=u_prev, b=u_next, t_a=state.t):
+            w = min(max((t - t_a) / dt, 0.0), 1.0)
+            return a if w == 0.0 else SpectralField(a.grid, (1.0 - w) * a.coeffs + w * b.coeffs)
+
+        pos = predecessor_rk4_particles(pos, at, state.t, dt)
         state, u_prev = new_state, u_next
     return state, fmap.with_positions(pos.reshape(m, m, 2), t0 + n_steps * dt)
 
@@ -252,15 +255,22 @@ class TestFoldOncePerStep:
         assert new_state.q.coeffs.tobytes() == old_state.q.coeffs.tobytes()
 
     def test_each_distinct_field_folded_once(self, monkeypatch):
+        """N steps fold N + 1 snapshots and N exact midpoint means, each once."""
         fold = flowmap._folded
         folded = []
         monkeypatch.setattr(flowmap, "_folded", lambda f: folded.append(f) or fold(f))
         g = make_grid(16, 16)
-        u0, u1 = shear_field(g), 2.0 * shear_field(g)
-        pos = make_lattice(g, 8).positions.reshape(64, 2)
-        flowmap._rk4_particles(pos, SnapshotVelocity(0.0, 0.1, [u0, u1]), 0.0, 0.1)
-        assert len(folded) == 3  # t, t + dt/2 (stages 2 and 3), t + dt
-        assert mode(folded[0], 0, 1)[0] == pytest.approx(-0.75j)  # the midpoint, 1.5 (sin y, 0)
+        inviscid, dt, n = DissipationMode.inviscid(), 1e-3, 3
+        co_advect(two_mode_setup(g), inviscid, dt, n * dt, make_lattice(g, 8))
+        assert len(folded) == 2 * n + 1
+        states = [two_mode_setup(g)]
+        for _ in range(n):
+            states.append(dynamics.step_rk4(states[-1], dt, inviscid))
+        snaps = [s.velocity().coeffs for s in states]
+        means = [0.5 * (a + b) for a, b in zip(snaps, snaps[1:])]
+        expected = [snaps[0]] + [c for i in range(n) for c in (snaps[i + 1], means[i])]
+        assert [f.coeffs.tobytes() for f in folded] == [c.tobytes() for c in expected]
+        assert len({f.coeffs.tobytes() for f in folded}) == 2 * n + 1
 
 
 class TestVolumeCheck:
@@ -331,21 +341,6 @@ def test_co_advect_checks_cfl_every_step(monkeypatch):
     g = make_grid(16, 16)
     co_advect(two_mode_setup(g), DissipationMode.inviscid(), 1e-3, 3e-3, make_lattice(g, 8))
     assert checked == pytest.approx([0.0, 1e-3, 2e-3])
-
-
-class TestSnapshotVelocity:
-    def test_linear_interpolation(self):
-        g = make_grid(16, 16)
-        u0 = to_spectral(g, np.zeros((2, 16, 16)))
-        u1 = to_spectral(g, np.ones((2, 16, 16)))
-        src = SnapshotVelocity(0.0, 1.0, [u0, u1])
-        mid = src.at(0.25)
-        assert mid.coeffs[0, 0, 0] == pytest.approx(0.25)
-
-    def test_needs_two_snapshots(self):
-        g = make_grid(16, 16)
-        with pytest.raises(ValueError):
-            SnapshotVelocity(0.0, 1.0, [to_spectral(g, np.zeros((2, 16, 16)))])
 
 
 class TestLattice:
