@@ -3,8 +3,9 @@
 Particles realizing eta(t, x) on a reference lattice are advected by
 integrate.rk4 alongside the solver; each velocity snapshot the solver makes is
 folded into an evaluator once.  Nonuniform velocity evaluation is exact
-Fourier summation restricted to the (thresholded) live mode block, so
-evaluation error stays at roundoff.
+Fourier summation over the live block |jx|, |jy| <= K: K is the smallest shell
+s = max(|jx|, |jy|) beyond which the shells hold at most 1e-13 of sum |c|, so
+evaluation error is bounded by 1e-13 sum |c| at every point.
 
 Positions are stored unwrapped (eta of a degree-one periodic map), which makes
 the centered-difference Jacobian of volume_check smooth across the seam.
@@ -21,7 +22,7 @@ from .dynamics import DissipationMode, VorticityState, step_rk4
 from .integrate import march, rk4
 from .spectral import TWO_PI, SpectralField, TorusGrid2D, full_coeffs
 
-_EVAL_TRUNCATION = 1e-16  # relative: modes below this cannot move max error past 1e-13
+_EVAL_TRUNCATION = 1e-13  # dropped shells sum to at most this share of sum |c|
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,11 @@ def _folded(f: SpectralField):
     """f's evaluator, points (P, 2) -> values: the field-only part of eval_field_at, done once."""
     g = f.grid
     c = full_coeffs(f).reshape(-1, g.nx, g.ny)
-    mags = np.abs(c).max(axis=0)
-    thr = _EVAL_TRUNCATION * mags.max()
-    jx = g.jx[mags.max(axis=1) > thr]
-    jy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(np.int64)[mags.max(axis=0) > thr]
+    jy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(np.int64)
+    shell = np.maximum(np.abs(g.jx)[:, None], np.abs(jy)[None, :])
+    beyond = np.bincount(shell.ravel(), np.abs(c).sum(axis=0).ravel())[::-1].cumsum()[::-1]  # sum |c| over shells >= s
+    K = int((beyond[1:] > _EVAL_TRUNCATION * beyond[0]).sum())
+    jx, jy = g.jx[np.abs(g.jx) <= K], jy[np.abs(jy) <= K]
     ux, gx = _fold(jx)
     uy, gy = _fold(jy)
     folded = (gx @ c[:, jx][:, :, jy] @ gy.T).real        # (r, 2Ux, 2Uy)
@@ -113,15 +115,17 @@ def _folded(f: SpectralField):
 def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
     """Exact Fourier-sum evaluation of f at arbitrary points, (P,) or (P,2).
 
-    Returns Re sum_k fhat(k) exp(i k.x) over the live mode block (modes below
-    1e-16 of the peak are dropped; their total contribution is under 1e-13
-    relative).  As exp(i j h x) = cos(|j| h x) + i sign(j) sin(|j| h x), modes
-    +j and -j share table rows, and the sum is X.T C Y per point: X, Y the
-    cos/sin tables of the distinct |jx|, |jy|, C = Re(Gx fhat Gy.T).  This
-    identity assumes no Hermitian symmetry and no special Nyquist handling.
-    Cost for a live Kx x Ky block: O(P (sqrt(Kx) + sqrt(Ky))) exponentials,
-    O(P (Kx + Ky)) table products and O(P Kx Ky) real multiply-adds, a
-    quarter of the direct complex sum.
+    Returns Re sum_k fhat(k) exp(i k.x) over the live block |jx|, |jy| <= K,
+    K the smallest square shell s = max(|jx|, |jy|) for which the shells past K
+    sum |fhat| over components to at most 1e-13 sum |fhat|.  A truncated
+    Fourier sum is wrong by at most the sum of the dropped |fhat|, so
+    |f - f_K| <= 1e-13 sum |fhat| at every point.  As exp(i j h x) =
+    cos(|j| h x) + i sign(j) sin(|j| h x), modes +j and -j share table rows,
+    and the sum is X.T C Y per point: X, Y the cos/sin tables of the distinct
+    |jx|, |jy|, C = Re(Gx fhat Gy.T).  This identity assumes no Hermitian
+    symmetry and no special Nyquist handling.  Cost for a live Kx x Ky block:
+    O(P (sqrt(Kx) + sqrt(Ky))) exponentials, O(P (Kx + Ky)) table products and
+    O(P Kx Ky) real multiply-adds, a quarter of the direct complex sum.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:

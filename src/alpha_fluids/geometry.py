@@ -205,20 +205,11 @@ def calU(u: SpectralField, alpha: AlphaParam) -> SpectralField:
 
 
 def _frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
+    """Polarization (calU(x+y) - calU(x-y)) / 4, both terms in one transform pair."""
     g = x.grid
     factors = np.concatenate([_jacobian(_clean(x + y)), _jacobian(_clean(x - y))])
     S = _exact_product(FieldStack(g, factors), _CALU_PAIR)
     return 0.25 * (_smoothed_divergence(g, S[:4], alpha) - _smoothed_divergence(g, S[4:], alpha))
-
-
-def frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
-    """Symmetric bilinear polarization, frakU(x,y) = (calU(x+y) - calU(x-y)) / 4.
-
-    Both quadratic terms share one transform pair.
-    """
-    if alpha.alpha == 0.0:
-        return zero_field(x.grid, "vector")
-    return _frakU(_clean(x), _clean(y), alpha)
 
 
 def covariant_derivative(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:

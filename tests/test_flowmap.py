@@ -6,7 +6,6 @@ import pytest
 from alpha_fluids import dynamics, flowmap
 from alpha_fluids.dynamics import DissipationMode, VorticityState, run, state_from_velocity
 from alpha_fluids.flowmap import (
-    _EVAL_TRUNCATION,
     FlowMap,
     co_advect,
     eval_field_at,
@@ -37,12 +36,19 @@ def two_mode_setup(grid, a=0.2, amps=(0.25, 0.2)):
     return state_from_velocity(derivative(psi, "perp_gradient"), alpha)
 
 
-def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Oracle: the full complex direct sum over the live mode block.
+def per_mode_block(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rule the shell cut replaced: the rows and columns of c (r, nx, ny)
+    that hold a mode above 1e-16 of the peak |c|."""
+    mags = np.abs(c).max(axis=0)
+    thr = 1e-16 * mags.max()
+    return mags.max(axis=1) > thr, mags.max(axis=0) > thr
 
-    Sums u(x) = sum_k fhat(k) exp(i k.x) over the live mode block (modes below
-    1e-16 of the peak are dropped; their total contribution is under 1e-13
-    relative).  Cost O(P * live modes).
+
+def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
+    """Oracle: the full complex direct sum over the per-mode live block.
+
+    Sums u(x) = sum_k fhat(k) exp(i k.x) over the rows and columns of
+    per_mode_block.  Cost O(P * live modes).
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -52,14 +58,10 @@ def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray
     g = f.grid
     c = full_coeffs(f) if f.is_vector else full_coeffs(f)[None, :, :]
     ky = (2 * np.pi / g.Ly) * np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(np.int64)[None, :].astype(float)
-    mags = np.abs(c).max(axis=0)
-    scale = mags.max()
-    if scale == 0.0:
+    if not c.any():
         out = np.zeros((pts.shape[0], c.shape[0]))
         return out if f.is_vector else out[:, 0]
-    thr = _EVAL_TRUNCATION * scale
-    keep_x = mags.max(axis=1) > thr
-    keep_y = mags.max(axis=0) > thr
+    keep_x, keep_y = per_mode_block(c)
     kxs = g.kx[keep_x, 0]
     kys = ky[0, keep_y]
     sub = c[:, keep_x][:, :, keep_y]                      # (r, Kx, Ky)
@@ -68,6 +70,37 @@ def direct_sum_eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray
     t = sub @ ey.T                                        # (r, Kx, P)
     out = np.einsum("pk,rkp->pr", ex, t).real
     return out if f.is_vector else out[:, 0]
+
+
+def per_mode_folded(f: SpectralField):
+    """flowmap._folded as it was under the per-mode rule: the same fold and tables over per_mode_block."""
+    g = f.grid
+    c = full_coeffs(f).reshape(-1, g.nx, g.ny)
+    keep_x, keep_y = per_mode_block(c)
+    jx = g.jx[keep_x]
+    jy = np.fft.fftfreq(g.ny, d=1.0 / g.ny).astype(np.int64)[keep_y]
+    ux, gx = flowmap._fold(jx)
+    uy, gy = flowmap._fold(jy)
+    folded = (gx @ c[:, jx][:, :, jy] @ gy.T).real
+
+    def at(pts):
+        x = flowmap._trig_table(pts[:, 0], 2 * np.pi / g.Lx, ux)
+        y = flowmap._trig_table(pts[:, 1], 2 * np.pi / g.Ly, uy)
+        out = np.einsum("ip,rip->pr", x, folded @ y)
+        return out if f.is_vector else out[:, 0]
+
+    return at
+
+
+def live_block(monkeypatch, f: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """The mode numbers (jx, jy) that flowmap._folded keeps for f, read off its two _fold calls."""
+    seen = []
+    fold = flowmap._fold
+    with monkeypatch.context() as m:
+        m.setattr(flowmap, "_fold", lambda j: seen.append(j) or fold(j))
+        flowmap._folded(f)
+    jx, jy = seen
+    return jx, jy
 
 
 def band_limited_field(grid, kmax, vector, rng, hermitian=True):
@@ -159,6 +192,48 @@ class TestEvalFieldOracle:
         f = band_limited_field(g, 8, vector, rng)
         pts = rng.uniform(-100.0, 100.0, (300, 2))
         assert_matches_oracle(f, pts)
+
+
+class TestShellTruncation:
+    """The live block is the smallest square |jx|, |jy| <= K whose outside sums to 1e-13 of sum |c|."""
+
+    def test_roundoff_tail_is_cut_within_its_sum(self, monkeypatch):
+        # two modes plus dust of 1e-15 relative on every mode of the 2/3 band, the shape of solver roundoff
+        g = make_grid(32, 32)
+        rng = np.random.default_rng(13)
+        clean = cosine_field(g, (3, 0), 0.8) + cosine_field(g, (1, -5), 0.3, 0.4)
+        dust = band_limited_field(g, g.nx // 3, False, rng)
+        f = clean + (1e-15 * np.abs(clean.coeffs).max() / np.abs(dust.coeffs).max()) * dust
+        c = np.abs(full_coeffs(f))
+        keep_x, keep_y = per_mode_block(c[None])
+        jx, jy = live_block(monkeypatch, f)
+        assert len(jx) < keep_x.sum() and len(jy) < keep_y.sum()
+        kept = np.isin(g.jx, jx)[:, None] & np.isin(np.fft.fftfreq(g.ny, d=1.0 / g.ny), jy)[None, :]
+        dropped = c[~kept].sum()
+        assert 0.0 < dropped <= 1e-13 * c.sum()
+        pts = rng.uniform(-1.0, 2.0, (300, 2)) * [g.Lx, g.Ly]
+        new = eval_field_at(f, pts)
+        ref = direct_sum_eval_field_at(f, pts)
+        assert np.abs(new - ref).max() <= dropped + 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("shape", GRIDS)
+    def test_white_noise_keeps_every_mode(self, monkeypatch, shape, vector):
+        g = make_grid(*shape)
+        rng = np.random.default_rng(14)
+        f = to_spectral(g, rng.standard_normal((2, *g.shape) if vector else g.shape))
+        jx, jy = live_block(monkeypatch, f)
+        assert (len(jx), len(jy)) == (g.nx, g.ny)
+        pts = rng.uniform(-1.0, 2.0, (300, 2)) * [g.Lx, g.Ly]
+        assert eval_field_at(f, pts).tobytes() == per_mode_folded(f)(pts).tobytes()
+        assert_matches_oracle(f, pts)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_zero_field_keeps_the_mean_mode_only(self, monkeypatch, vector):
+        g = make_grid(*GRIDS[1])
+        zero = SpectralField(g, np.zeros((2, *g.coeff_shape) if vector else g.coeff_shape))
+        jx, jy = live_block(monkeypatch, zero)  # its values: test_zero_field_and_empty_points
+        assert jx.tolist() == [0] and jy.tolist() == [0]
 
 
 class TestEvalVelocity:

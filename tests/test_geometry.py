@@ -24,6 +24,7 @@ from alpha_fluids.geometry import (
     SupportOverflowError,
     _clean,
     _exact_product,
+    _frakU,
     _form,
     _tangent_rhs,
     advect,
@@ -32,7 +33,6 @@ from alpha_fluids.geometry import (
     covariant_derivative,
     curvature_op,
     find_alpha0,
-    frakU,
     grid_for_modes,
     jacobi_evolve,
     lie_bracket,
@@ -233,7 +233,7 @@ class TestBatchedProductsMatchPredecessor:
         x, y, z = rand_stream(g, 41), rand_stream(g, 42), rand_stream(g, 43)
         assert rel_diff(advect(x, y), ref_advect(x, y)) <= 1e-13
         assert rel_diff(calU(x, a), ref_calU(x, a)) <= 1e-13
-        assert rel_diff(frakU(x, y, a), ref_frakU(x, y, a)) <= 1e-13
+        assert rel_diff(_frakU(x, y, a), ref_frakU(x, y, a)) <= 1e-13
         assert rel_diff(covariant_derivative(x, y, a), ref_covariant_derivative(x, y, a)) <= 1e-13
         assert rel_diff(curvature_op(x, y, z, a), ref_curvature_op(x, y, z, a)) <= 1e-13
 
@@ -402,22 +402,22 @@ class TestFrakU:
         g = make_grid(32, 32)
         a = AlphaParam(0.6)
         u = rand_stream(g, 2)
-        diff = frakU(u, u, a) - calU(u, a)
+        diff = _frakU(u, u, a) - calU(u, a)
         assert np.abs(diff.coeffs).max() < 1e-12 * max(1.0, np.abs(calU(u, a).coeffs).max())
 
     def test_zero_argument(self):
         g = make_grid(16, 16)
         u = stream_mode(g, (1, 0))
-        out = frakU(u, zero_field(g, "vector"), AlphaParam(0.8))
+        out = _frakU(u, zero_field(g, "vector"), AlphaParam(0.8))
         assert np.abs(out.coeffs).max() < 1e-14
 
     def test_bilinearity_and_symmetry(self):
         g = make_grid(32, 32)
         a = AlphaParam(0.5)
         x, y = rand_stream(g, 3), rand_stream(g, 4)
-        scale = max(np.abs(frakU(x, y, a).coeffs).max(), 1.0)
-        d1 = frakU(2.5 * x, y, a) - 2.5 * frakU(x, y, a)
-        d2 = frakU(x, y, a) - frakU(y, x, a)
+        scale = max(np.abs(_frakU(x, y, a).coeffs).max(), 1.0)
+        d1 = _frakU(2.5 * x, y, a) - 2.5 * _frakU(x, y, a)
+        d2 = _frakU(x, y, a) - _frakU(y, x, a)
         assert np.abs(d1.coeffs).max() < 1e-11 * scale
         assert np.abs(d2.coeffs).max() < 1e-11 * scale
 
