@@ -5,7 +5,10 @@ integrate.rk4 alongside the solver; each velocity snapshot the solver makes is
 folded into an evaluator once.  Nonuniform velocity evaluation is exact
 Fourier summation over the live block |jx|, |jy| <= K: K is the smallest shell
 s = max(|jx|, |jy|) beyond which the shells hold at most 1e-13 of sum |c|, so
-evaluation error is bounded by 1e-13 sum |c| at every point.
+evaluation error is bounded by 1e-13 sum |c| at every point.  The phases
+exp(i j h x) are products lo[j % b] hi[j // b] of running powers of the two
+exponentials exp(i h x) and exp(i b h x), b = isqrt(K) + 1: each is off by the
+rounding of its argument j h x plus about b + K // b ulp.
 
 Positions are stored unwrapped (eta of a degree-one periodic map), which makes
 the centered-difference Jacobian of volume_check smooth across the seam.
@@ -70,13 +73,19 @@ def make_lattice(grid: TorusGrid2D, m: int) -> FlowMap:
 def _trig_table(coord: np.ndarray, h: float, j: np.ndarray) -> np.ndarray:
     """Rows cos(j h coord) then sin(j h coord), (2 len(j), P), for j >= 0.
 
-    exp(i j h x) is the product of exactly computed exp(i lo h x) and
-    exp(i b hi h x), j = lo + b hi: about 2 ulp whatever j is, unlike a running
-    product, from only about 2 sqrt(max j) complex exponentials per point."""
+    exp(i j h x) = lo[j % b] hi[j // b], b = isqrt(max j) + 1, where lo and hi
+    are running powers of exp(i h x) and exp(i b h x): two complex exponentials
+    per point (none when max j = 0; row 0 is exactly 1).  The error is the
+    rounding of the argument j h x plus about b + max j // b ulp, where a
+    running power of exp(i h x) alone would add about max j ulp."""
     top = int(j.max(initial=0))
     b = math.isqrt(top) + 1
-    lo = np.exp(1j * np.outer(h * np.arange(b), coord))
-    hi = np.exp(1j * np.outer((h * b) * np.arange(top // b + 1), coord))
+    lo, hi = np.ones((b, coord.size), complex), np.ones((top // b + 1, coord.size), complex)
+    for rows, phase in ((lo, h * coord), (hi, (h * b) * coord)):
+        if len(rows) > 1:
+            rows[1] = np.exp(1j * phase)
+        for k in range(2, len(rows)):
+            np.multiply(rows[k - 1], rows[1], out=rows[k])
     e = lo[j % b] * hi[j // b]
     return np.concatenate((e.real, e.imag))
 
@@ -124,7 +133,7 @@ def eval_field_at(f: SpectralField, points: np.ndarray) -> np.ndarray:
     and the sum is X.T C Y per point: X, Y the cos/sin tables of the distinct
     |jx|, |jy|, C = Re(Gx fhat Gy.T).  This identity assumes no Hermitian
     symmetry and no special Nyquist handling.  Cost for a live Kx x Ky block:
-    O(P (sqrt(Kx) + sqrt(Ky))) exponentials, O(P (Kx + Ky)) table products and
+    2 exponentials per point and axis, O(P (Kx + Ky)) complex products and
     O(P Kx Ky) real multiply-adds, a quarter of the direct complex sum.
     """
     pts = np.asarray(points, dtype=float)

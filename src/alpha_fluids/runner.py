@@ -534,8 +534,9 @@ _DRIVERS = {
 def _retain_freed_memory() -> None:
     """Keep freed array memory in the process (glibc, Linux only): glibc's defaults
     mmap or trim a 128^2 RK4 step's few MB of temporaries, so every step faults
-    them in again: 400-600 against 4 minor faults and 5.6-6.1 against 3.8-4.5 ms
-    per step in fresh processes on a 2-core x86-64 VM."""
+    them in again: 291-614 against 0 minor faults per step (1577-2026 against 0
+    for a co-advection step with a 32^2 lattice) in fresh processes on a 2-core
+    x86-64 VM."""
     libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
     if hasattr(libc, "mallopt"):
         libc.mallopt(-3, 4 << 20)   # M_MMAP_THRESHOLD

@@ -236,20 +236,10 @@ def _symmetrize_ends(grid: TorusGrid2D, c: np.ndarray) -> np.ndarray:
 
 
 def to_spectral_padded(grid: TorusGrid2D, samples: np.ndarray) -> np.ndarray:
-    """Coefficients on grid's band of real samples (..., mx, my), mx >= nx, my >= ny.
-
-    The rfft2 half's rows jx and columns 0 <= jy <= ny/2, with the columns
-    jy = 0 and ny/2 symmetrized.  On a padded axis column ny/2 holds the mean
-    of modes +-ny/2 (off the row jx = -nx/2, whose mirror is taken on the
-    small grid).
-    """
-    mx, my = samples.shape[-2:]
-    if mx < grid.nx or my < grid.ny:
-        raise ValueError(f"sample grid {(mx, my)} is smaller than {grid.shape}")
-    c = scipy.fft.rfft2(samples, norm="forward")
-    if (mx, my) != grid.shape:
-        c = c[..., grid.jx, : grid.ny // 2 + 1]  # a negative row jx wraps to mx + jx, mode jx
-    return _symmetrize_ends(grid, c)
+    """rfft2 half of real samples (..., nx, ny) on grid, the columns jy = 0 and ny/2 symmetrized."""
+    if samples.shape[-2:] != grid.shape:
+        raise ValueError(f"sample grid {samples.shape[-2:]} does not match {grid.shape}")
+    return _symmetrize_ends(grid, scipy.fft.rfft2(samples, norm="forward"))
 
 
 def to_physical(f: SpectralField) -> np.ndarray:

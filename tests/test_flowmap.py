@@ -1,5 +1,7 @@
 """Flow-map co-advection, exact evaluation, volume/transport checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,61 @@ def assert_matches_oracle(f, pts):
 
 
 GRIDS = [(32, 32, 2 * np.pi, 2 * np.pi), (24, 40, 3.0, 7.5)]
+
+
+def exact_exp_trig_table(coord: np.ndarray, h: float, j: np.ndarray) -> np.ndarray:
+    """The predecessor of flowmap._trig_table: exp(i j h x) as the product of the
+    exactly computed exp(i lo h x) and exp(i b hi h x), j = lo + b hi, from about
+    2 sqrt(max j) complex exponentials per point."""
+    top = int(j.max(initial=0))
+    b = math.isqrt(top) + 1
+    lo = np.exp(1j * np.outer(h * np.arange(b), coord))
+    hi = np.exp(1j * np.outer((h * b) * np.arange(top // b + 1), coord))
+    e = lo[j % b] * hi[j // b]
+    return np.concatenate((e.real, e.imag))
+
+
+def longdouble_trig_table(coord: np.ndarray, h: float, j: np.ndarray) -> np.ndarray:
+    """cos and sin of j h coord in extended precision, from the float64 h and coord."""
+    a = np.outer(j.astype(np.longdouble) * np.longdouble(h), coord.astype(np.longdouble))
+    return np.concatenate((np.cos(a), np.sin(a)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="the truth needs an extended-precision long double")
+class TestTrigTable:
+    """Running powers of two exponentials per point against the exactly computed factors."""
+
+    @staticmethod
+    def errors(x, h, K):
+        """Largest error of flowmap._trig_table and of its predecessor over modes 0..K."""
+        j = np.arange(K + 1)
+        truth = longdouble_trig_table(x, h, j)
+        return [float(np.abs(table(x, h, j) - truth).max()) for table in (flowmap._trig_table, exact_exp_trig_table)]
+
+    @pytest.mark.parametrize("K", [0, 1, 26, 42, 85])
+    @pytest.mark.parametrize("span", [(-0.5, 6.8), (-100.0, 100.0)])
+    @pytest.mark.parametrize("L", [2 * np.pi, 7.5])
+    def test_error_within_the_exact_factors_plus_the_products(self, K, span, L):
+        x = np.random.default_rng(K).uniform(*span, 2048)
+        err, oracle_err = self.errors(x, 2 * np.pi / L, K)
+        b = math.isqrt(K) + 1
+        assert err <= oracle_err + 4 * (b + K // b) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("K", [26, 42, 85])
+    def test_exact_arguments_leave_only_the_products(self, K):
+        """With h = 1 and x on a 1/1024 lattice every j h x is exact, so only the
+        products' rounding is left: at most b + K // b ulp, where a running power of
+        exp(i x) alone reaches about K / 3."""
+        x = np.round(np.random.default_rng(K).uniform(-100.0, 100.0, 2048) * 1024) / 1024
+        err, oracle_err = self.errors(x, 1.0, K)
+        b = math.isqrt(K) + 1
+        assert err <= oracle_err + (b + K // b) * np.finfo(float).eps
+
+    def test_mode_zero_is_exact(self):
+        x = np.random.default_rng(0).uniform(-100.0, 100.0, 64)
+        assert np.array_equal(flowmap._trig_table(x, 0.9, np.zeros(1, np.int64)), np.stack([np.ones(64), np.zeros(64)]))
+        table = flowmap._trig_table(x, 0.9, np.arange(27))
+        assert np.array_equal(table[[0, 27]], np.stack([np.ones(64), np.zeros(64)]))
 
 
 class TestEvalFieldOracle:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dynamics import ORACLE_SHAPES, assert_same_bits, predecessor_velocity_from_q
+from test_spectral import padded_forward_transform
 
 from alpha_fluids import geometry, runner
 from alpha_fluids.cli import main
@@ -56,7 +57,6 @@ from alpha_fluids.spectral import (
     to_physical,
     to_physical_padded,
     to_spectral,
-    to_spectral_padded,
     zero_field,
 )
 
@@ -150,7 +150,7 @@ def doubled_grid_exact_product(factors: FieldStack, form) -> np.ndarray:
     out = np.tensordot(form.weights, p[a] * p[b], axes=1)
     peak = np.abs(p).max(axis=(1, 2))
     floor = 1e-13 * (form.counts @ (peak[a] * peak[b]))
-    prod = to_spectral_padded(g, out)
+    prod = padded_forward_transform(g, out)
     return np.where(np.abs(prod) > floor[:, None, None], prod, 0.0)
 
 

@@ -29,6 +29,7 @@ from alpha_fluids.spectral import (
     to_spectral,
     to_spectral_padded,
     zero_field,
+    _symmetrize_ends,
 )
 
 from test_multiplier_tables import predecessor_dealias_modes
@@ -254,12 +255,31 @@ def band_limited(grid, seed=0, rank="scalar"):
     return predecessor_dealias_modes(random_real(grid, seed, rank), grid.nx // 2 - 1, grid.ny // 2 - 1)
 
 
+def padded_forward_transform(grid, samples):
+    """The predecessor of to_spectral_padded, which also took samples (..., mx, my)
+    on a finer grid, mx >= nx, my >= ny: the rfft2 half's rows jx and columns
+    0 <= jy <= ny/2 of their transform, with the columns jy = 0 and ny/2
+    symmetrized.  On a padded axis column ny/2 holds the mean of modes +-ny/2
+    (off the row jx = -nx/2, whose mirror is taken on the small grid)."""
+    c = scipy.fft.rfft2(samples, norm="forward")
+    if samples.shape[-2:] != grid.shape:
+        c = c[..., grid.jx, : grid.ny // 2 + 1]  # a negative row jx wraps to mx + jx, mode jx
+    return _symmetrize_ends(grid, c)
+
+
+@pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+def test_forward_matches_padded_oracle_on_its_own_grid(nx, ny, Lx, Ly):
+    g = make_grid(nx, ny, Lx, Ly)
+    samples = np.random.default_rng(nx).standard_normal((3,) + g.shape)
+    assert np.array_equal(to_spectral_padded(g, samples), padded_forward_transform(g, samples))
+
+
 @pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
 @pytest.mark.parametrize("pad", PADDED_SHAPES)
 def test_padded_forward_inverts_padded_inverse(nx, ny, Lx, Ly, pad):
     g = make_grid(nx, ny, Lx, Ly)
     f = band_limited(g, seed=nx, rank="vector")
-    c = to_spectral_padded(g, to_physical_padded(f, PADDED_SHAPES[pad](g)))
+    c = padded_forward_transform(g, to_physical_padded(f, PADDED_SHAPES[pad](g)))
     assert rel_err(c, f.coeffs) <= 1e-14
     assert hermitian_asymmetry(SpectralField(g, c)) == 0.0
 
@@ -272,7 +292,7 @@ def test_padded_forward_matches_complex_band(nx, ny, Lx, Ly):
     samples = to_physical_padded(band_limited(g, 1), fine) * to_physical_padded(band_limited(g, 2), fine)
     full = np.fft.fft2(samples) / samples.size
     ref = full[np.ix_(g.jx % fine[0], g.jy % fine[1])]
-    out = to_spectral_padded(g, samples)
+    out = padded_forward_transform(g, samples)
     inner = (np.abs(g.jx)[:, None] < nx // 2) & (np.abs(g.jy)[None, :] < ny // 2)
     assert np.abs(out - ref)[inner].max() <= 1e-14 * np.abs(ref).max()
     # on a padded axis the column jy = -ny/2 holds the mean of modes +-ny/2 (off the Nyquist row)
@@ -284,6 +304,11 @@ def test_padded_forward_matches_complex_band(nx, ny, Lx, Ly):
 def test_padded_forward_rejects_smaller_grid():
     with pytest.raises(ValueError):
         to_spectral_padded(make_grid(16, 16), np.zeros((16, 8)))
+
+
+def test_forward_rejects_finer_grid():
+    with pytest.raises(ValueError):
+        to_spectral_padded(make_grid(16, 16), np.zeros((32, 32)))
 
 
 # -- properties on random fields ------------------------------------------------------
