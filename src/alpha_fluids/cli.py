@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         return 1
 
     outdir = args.out or cfg.get("run", "out") or os.path.join("runs", cfg.experiment)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed", 0)
+    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     if not 0 <= seed < 2**64:
         print(f"error: seed {seed} is not an unsigned 64-bit integer", file=sys.stderr)
         return 1

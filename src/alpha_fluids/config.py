@@ -6,10 +6,11 @@ Grammar (one entry per line):
     [section]                    section header
     key = value                  entry in the current section
 
-Values are typed per key by the experiment schema below; unknown sections or
-keys are errors (no silent typo acceptance), as are out-of-range values.
-Every error carries the offending line number.  serialize() emits a canonical
-form that reparses to an equal config.
+Values are typed per key by _SCHEMA; unknown sections or keys are errors (no
+silent typo acceptance), as are out-of-range values and keys the experiment does
+not read (_READS and _IC_KINDS hold the keys it reads, with the defaults that
+RunConfig.get falls back to).  Every error carries the offending line number.
+serialize() emits a canonical form that reparses to an equal config.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ _SCHEMA = {
         "checkpoint_every": ("int", _nonneg),
     },
     "experiment": {
-        # shared tuning knobs for the specialty drivers
+        # driver-specific knobs; _READS says which experiment reads each
         "nus": ("floats", _viscosities),
         "variants": ("str", _choice("viscous", "strong", "both")),
         "eps": ("ints", _pair()),
@@ -158,7 +159,41 @@ _SCHEMA = {
     },
 }
 
-_REQUIRED = {"run": ("experiment",)}
+# (section, key) -> default of every key an experiment reads; None is no default
+_RUN = {("run", "experiment"): None, ("run", "seed"): 0, ("run", "out"): None}
+_TORUS = {("grid", "nx"): 64, ("grid", "ny"): 64, ("grid", "lx"): 2.0 * math.pi, ("grid", "ly"): 2.0 * math.pi,
+          ("physics", "alpha"): 0.2, ("time", "dt"): 1e-3, ("time", "t_final"): 1.0, ("ic", "kind"): "two_mode"}
+_READS = {
+    "simulate2d": {**_TORUS, ("physics", "dissipation"): "inviscid", ("physics", "nu"): 0.0,
+                   ("output", "series_every"): 10, ("output", "checkpoint_every"): 0},
+    "visc-limit": {**_TORUS, ("time", "dt"): 2e-3, ("time", "t_final"): 0.5,
+                   ("experiment", "nus"): (1e-1, 1e-2, 1e-3, 1e-4), ("experiment", "variants"): "both"},
+    "jacobi": {**_TORUS, ("time", "t_final"): 0.5, ("experiment", "epsilons"): (1e-4, 5e-5)},
+    "flowmap": {**_TORUS, ("experiment", "m"): 32, ("experiment", "t_diag"): 0.25, ("experiment", "refine"): 2,
+                ("experiment", "ladders"): "both"},
+    "blob": {("physics", "alpha"): 0.3, ("ic", "kind"): "blob_ring", ("time", "dt"): 1e-3, ("time", "t_final"): 10.0,
+             ("output", "series_every"): 100},
+    "ch": {("experiment", "n"): 512, ("experiment", "bc"): "dirichlet", ("time", "dt"): 1e-4, ("time", "t_final"): 1.0,
+           ("ic", "amp"): 0.1, ("ic", "k"): (1,), ("output", "series_every"): 100},
+    "curvature": {("experiment", "pairs"): 50, ("experiment", "kmax"): 4},
+    # 0.05 * i is np.linspace(0.0, 1.0, 21) bit for bit
+    "alpha-sweep": {("ic", "k"): (1, 0), ("experiment", "eps"): (0, 1),
+                    ("experiment", "alphas"): tuple(0.05 * i for i in range(21))},
+}
+# experiment -> {each [ic] kind it takes: the [ic] keys of that kind}; _READS holds the default kind
+_TORUS_IC = {
+    "single_mode": {("ic", "k"): (1, 0), ("ic", "amp"): 1.0},
+    "two_mode": {("ic", "k1"): (1, 0), ("ic", "k2"): (2, 1), ("ic", "amps"): (0.25, 0.2), ("ic", "phases"): (0.0, 0.7)},
+    "random_seeded": {("ic", "kmax"): 4, ("ic", "spectrum_slope"): -2.0, ("ic", "amp"): 0.2},
+}
+_IC_KINDS = {**dict.fromkeys(("simulate2d", "visc-limit", "jacobi", "flowmap"), _TORUS_IC),
+             "blob": {"blob_ring": {("ic", "n_blobs"): 4, ("ic", "radius"): 1.0, ("ic", "gamma"): 1.0}}}
+
+
+def reads(experiment: str, kind: str | None = None) -> dict:
+    """{(section, key): default} of every key experiment reads, with the [ic] keys of kind (None: its default)."""
+    table = {**_RUN, **_READS[experiment]}
+    return {**table, **_IC_KINDS.get(experiment, {}).get(kind or table.get(("ic", "kind")), {})}
 
 
 def _parse_value(tag: str, raw: str, line: int):
@@ -185,7 +220,9 @@ class RunConfig:
     experiment: str
     sections: dict = field(default_factory=dict)
 
-    def get(self, section: str, key: str, default=None):
+    def get(self, section: str, key: str):
+        """The given value, else the experiment's default; KeyError for a key it does not read."""
+        default = reads(self.experiment, self.sections.get("ic", {}).get("kind"))[section, key]
         return self.sections.get(section, {}).get(key, default)
 
     def serialize(self) -> str:
@@ -207,17 +244,11 @@ class RunConfig:
             lines.append("")
         return "\n".join(lines)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RunConfig)
-            and self.experiment == other.experiment
-            and self.sections == other.sections
-        )
-
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError with a line number on any defect."""
     sections: dict = {}
+    line_of: dict = {}  # (section, key) -> line number
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -251,11 +282,22 @@ def parse_config(text: str) -> RunConfig:
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
         sections[current][key] = value
-    for section, keys in _REQUIRED.items():
-        for key in keys:
-            if sections.get(section, {}).get(key) is None:
-                raise ConfigError(f"missing required key {key!r} in section [{section}]")
-    return RunConfig(experiment=sections["run"]["experiment"], sections=sections)
+        line_of[current, key] = lineno
+    if "experiment" not in sections.get("run", {}):
+        raise ConfigError("missing required key 'experiment' in section [run]")
+    experiment, kind = sections["run"]["experiment"], sections.get("ic", {}).get("kind")
+    kinds = _IC_KINDS.get(experiment, {})
+    if kinds and kind is not None and kind not in kinds:
+        raise ConfigError(f"value for 'kind' out of range: {experiment} reads {', '.join(kinds)}", line_of["ic", "kind"])
+    table = reads(experiment, kind)
+    for (section, key), lineno in line_of.items():  # in line order
+        if (section, key) not in table:
+            with_kind = f" with [ic] kind = {kind or table['ic', 'kind']}" if section == "ic" and kinds else ""
+            raise ConfigError(f"key {key!r} in section [{section}] is not read by {experiment}{with_kind}", lineno)
+        value, default = sections[section][key], table[section, key]
+        if _SCHEMA[section][key][0] == "ints" and len(value) != len(default):  # [ic] k: 2 on the torus, 1 for ch
+            raise ConfigError(f"value for {key!r} out of range: {experiment} reads {len(default)} integer(s)", lineno)
+    return RunConfig(experiment, sections)
 
 
 def load_config(path) -> RunConfig:

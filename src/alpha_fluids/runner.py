@@ -152,20 +152,7 @@ def write_manifest(outdir, cfg: RunConfig, status: str, wall_s: float, diagnosti
 
 
 def _grid_from(cfg: RunConfig) -> TorusGrid2D:
-    return make_grid(
-        cfg.get("grid", "nx", 64),
-        cfg.get("grid", "ny", 64),
-        cfg.get("grid", "lx", 2.0 * math.pi),
-        cfg.get("grid", "ly", 2.0 * math.pi),
-    )
-
-
-def _ic_k(cfg: RunConfig, default: tuple) -> tuple:
-    """[ic] k, which must hold as many integers as default (two on the torus, one for ch)."""
-    k = tuple(cfg.get("ic", "k", default))
-    if len(k) != len(default):
-        raise ConfigError(f"[ic] k must hold exactly {len(default)} integer(s) for {cfg.experiment}, got {len(k)}")
-    return k
+    return make_grid(*(cfg.get("grid", key) for key in ("nx", "ny", "lx", "ly")))
 
 
 def _in_band(grid: TorusGrid2D, key: str, k: tuple) -> tuple:
@@ -183,37 +170,27 @@ def _in_band(grid: TorusGrid2D, key: str, k: tuple) -> tuple:
 
 def initial_velocity(cfg: RunConfig, grid: TorusGrid2D, seed: int) -> SpectralField:
     """Named presets for the 2D experiments; all are divergence-free."""
-    kind = cfg.get("ic", "kind", "two_mode")
+    kind = cfg.get("ic", "kind")
     if kind == "single_mode":
-        return stream_mode(grid, _in_band(grid, "k", _ic_k(cfg, (1, 0))), cfg.get("ic", "amp", 1.0))
+        return stream_mode(grid, _in_band(grid, "k", cfg.get("ic", "k")), cfg.get("ic", "amp"))
     if kind == "two_mode":
-        k1 = _in_band(grid, "k1", cfg.get("ic", "k1", (1, 0)))
-        k2 = _in_band(grid, "k2", cfg.get("ic", "k2", (2, 1)))
-        amps = cfg.get("ic", "amps", (0.25, 0.2))
-        phases = cfg.get("ic", "phases", (0.0, 0.7))
+        k1 = _in_band(grid, "k1", cfg.get("ic", "k1"))
+        k2 = _in_band(grid, "k2", cfg.get("ic", "k2"))
+        amps = cfg.get("ic", "amps")
+        phases = cfg.get("ic", "phases")
         psi = cosine_field(grid, k1, amps[0], phases[0]) + cosine_field(grid, k2, amps[1], phases[1])
         return derivative(psi, "perp_gradient")
-    if kind == "random_seeded":
-        rng = SplitMix64(seed)
-        kmax = cfg.get("ic", "kmax", 4)
-        _in_band(grid, "kmax", (kmax, kmax))
-        slope = cfg.get("ic", "spectrum_slope", -2.0)
-        amp = cfg.get("ic", "amp", 0.2)
-        psi = field_from_modes(grid, random_modes(rng, kmax, slope))
-        return amp * derivative(psi, "perp_gradient")
-    raise ConfigError(f"initial-condition kind {kind!r} is not a 2D velocity preset")
+    rng = SplitMix64(seed)  # random_seeded
+    kmax = cfg.get("ic", "kmax")
+    _in_band(grid, "kmax", (kmax, kmax))
+    slope = cfg.get("ic", "spectrum_slope")
+    amp = cfg.get("ic", "amp")
+    psi = field_from_modes(grid, random_modes(rng, kmax, slope))
+    return amp * derivative(psi, "perp_gradient")
 
 
 def initial_state(cfg: RunConfig, grid: TorusGrid2D, alpha: AlphaParam, seed: int) -> VorticityState:
     return state_from_velocity(initial_velocity(cfg, grid, seed), alpha)
-
-
-def _dissipation(cfg: RunConfig) -> DissipationMode:
-    variant = cfg.get("physics", "dissipation", "inviscid")
-    nu = cfg.get("physics", "nu", 0.0)
-    if variant == "inviscid":
-        return DissipationMode.inviscid()
-    return DissipationMode(variant, nu)
 
 
 # -- experiment drivers ----------------------------------------------------------------
@@ -221,12 +198,13 @@ def _dissipation(cfg: RunConfig) -> DissipationMode:
 
 def _exp_simulate2d(cfg: RunConfig, outdir: str, seed: int) -> dict:
     grid = _grid_from(cfg)
-    alpha = AlphaParam(cfg.get("physics", "alpha", 0.2))
-    mode = _dissipation(cfg)
-    dt = cfg.get("time", "dt", 1e-3)
-    T = cfg.get("time", "t_final", 1.0)
-    every = cfg.get("output", "series_every", 10)
-    ckpt_every = cfg.get("output", "checkpoint_every", 0)
+    alpha = AlphaParam(cfg.get("physics", "alpha"))
+    variant = cfg.get("physics", "dissipation")
+    mode = DissipationMode.inviscid() if variant == "inviscid" else DissipationMode(variant, cfg.get("physics", "nu"))
+    dt = cfg.get("time", "dt")
+    T = cfg.get("time", "t_final")
+    every = cfg.get("output", "series_every")
+    ckpt_every = cfg.get("output", "checkpoint_every")
 
     def advance(state: VorticityState, record) -> VorticityState:
         def on_step(n: int, s: VorticityState) -> None:
@@ -262,13 +240,13 @@ _SERIES2D_HEADER = [
 
 
 def _exp_blob(cfg: RunConfig, outdir: str, seed: int) -> dict:
-    alpha = cfg.get("physics", "alpha", 0.3)
-    n = cfg.get("ic", "n_blobs", 4)
-    radius = cfg.get("ic", "radius", 1.0)
-    gamma = cfg.get("ic", "gamma", 1.0)
-    dt = cfg.get("time", "dt", 1e-3)
-    T = cfg.get("time", "t_final", 10.0)
-    every = cfg.get("output", "series_every", 100)
+    alpha = cfg.get("physics", "alpha")
+    n = cfg.get("ic", "n_blobs")
+    radius = cfg.get("ic", "radius")
+    gamma = cfg.get("ic", "gamma")
+    dt = cfg.get("time", "dt")
+    T = cfg.get("time", "t_final")
+    every = cfg.get("output", "series_every")
 
     def row(n: int, e: BlobEnsemble) -> tuple:
         d = blob_diagnostics(e)
@@ -303,13 +281,13 @@ def _exp_blob(cfg: RunConfig, outdir: str, seed: int) -> dict:
 
 
 def _exp_ch(cfg: RunConfig, outdir: str, seed: int) -> dict:
-    n = cfg.get("experiment", "n", 512)
-    bc = cfg.get("experiment", "bc", "dirichlet")
-    dt = cfg.get("time", "dt", 1e-4)
-    T = cfg.get("time", "t_final", 1.0)
-    amp = cfg.get("ic", "amp", 0.1)
-    (m,) = _ic_k(cfg, (1,))
-    every = cfg.get("output", "series_every", 100)
+    n = cfg.get("experiment", "n")
+    bc = cfg.get("experiment", "bc")
+    dt = cfg.get("time", "dt")
+    T = cfg.get("time", "t_final")
+    amp = cfg.get("ic", "amp")
+    (m,) = cfg.get("ic", "k")
+    every = cfg.get("output", "series_every")
     diag: dict = {}
     for this_bc in ("dirichlet", "periodic") if bc == "both" else (bc,):
         if this_bc == "dirichlet":
@@ -331,8 +309,8 @@ _CH_HEADER = ["t_time", "energy_h1", "sup_norm"]
 
 
 def _exp_curvature(cfg: RunConfig, outdir: str, seed: int) -> dict:
-    n_pairs = cfg.get("experiment", "pairs", 50)
-    kmax = cfg.get("experiment", "kmax", 4)
+    n_pairs = cfg.get("experiment", "pairs")
+    kmax = cfg.get("experiment", "kmax")
     alpha0 = AlphaParam(0.0)
     grid = grid_for_modes((kmax, kmax), (kmax, kmax))
     S = grid.area
@@ -377,8 +355,8 @@ def _exp_curvature(cfg: RunConfig, outdir: str, seed: int) -> dict:
 
 
 def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int = 1) -> dict:
-    nus = cfg.get("experiment", "nus", (1e-1, 1e-2, 1e-3, 1e-4))
-    variants = cfg.get("experiment", "variants", "both")
+    nus = cfg.get("experiment", "nus")
+    variants = cfg.get("experiment", "variants")
     variant_list = ("viscous", "strong") if variants == "both" else (variants,)
 
     tasks = [("inviscid", 0.0)] + [(v, nu) for v in variant_list for nu in nus]
@@ -413,17 +391,17 @@ def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int = 1) ->
 def _viscosity_run(args) -> np.ndarray:
     """Worker: integrate one (variant, nu) leg and return final velocity coefficients."""
     cfg, seed, variant, nu = args
-    alpha = AlphaParam(cfg.get("physics", "alpha", 0.2))
+    alpha = AlphaParam(cfg.get("physics", "alpha"))
     state = initial_state(cfg, _grid_from(cfg), alpha, seed)
     mode = DissipationMode.inviscid() if variant == "inviscid" else DissipationMode(variant, nu)
-    state = run(state, cfg.get("time", "dt", 2e-3), cfg.get("time", "t_final", 0.5), mode)
+    state = run(state, cfg.get("time", "dt"), cfg.get("time", "t_final"), mode)
     return state.velocity().coeffs
 
 
 def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int) -> dict:
-    k = _ic_k(cfg, (1, 0))
-    eps = tuple(cfg.get("experiment", "eps", (0, 1)))
-    alphas = cfg.get("experiment", "alphas", tuple(np.linspace(0.0, 1.0, 21)))
+    k = cfg.get("ic", "k")
+    eps = cfg.get("experiment", "eps")
+    alphas = cfg.get("experiment", "alphas")
     l = (k[0] + eps[0], k[1] + eps[1])
     if (0, 0) in (k, l) or l in (k, (-k[0], -k[1])):
         raise ConfigError(
@@ -443,10 +421,10 @@ def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int) -> dict:
 
 def _exp_jacobi(cfg: RunConfig, outdir: str, seed: int) -> dict:
     grid = _grid_from(cfg)
-    alpha = AlphaParam(cfg.get("physics", "alpha", 0.2))
-    dt = cfg.get("time", "dt", 1e-3)
-    T = cfg.get("time", "t_final", 0.5)
-    epsilons = cfg.get("experiment", "epsilons", (1e-4, 5e-5))
+    alpha = AlphaParam(cfg.get("physics", "alpha"))
+    dt = cfg.get("time", "dt")
+    T = cfg.get("time", "t_final")
+    epsilons = cfg.get("experiment", "epsilons")
 
     u0 = initial_velocity(cfg, grid, seed)
     pert = stream_mode(grid, (1, 1), 1.0)
@@ -484,13 +462,13 @@ def _exp_jacobi(cfg: RunConfig, outdir: str, seed: int) -> dict:
 
 def _exp_flowmap(cfg: RunConfig, outdir: str, seed: int) -> dict:
     grid = _grid_from(cfg)
-    alpha = AlphaParam(cfg.get("physics", "alpha", 0.2))
-    dt = cfg.get("time", "dt", 1e-3)
-    T = cfg.get("time", "t_final", 1.0)
-    m = cfg.get("experiment", "m", 32)
-    t_diag = cfg.get("experiment", "t_diag", 0.25)
-    refine = cfg.get("experiment", "refine", 2)
-    ladders = cfg.get("experiment", "ladders", "both")
+    alpha = AlphaParam(cfg.get("physics", "alpha"))
+    dt = cfg.get("time", "dt")
+    T = cfg.get("time", "t_final")
+    m = cfg.get("experiment", "m")
+    t_diag = cfg.get("experiment", "t_diag")
+    refine = cfg.get("experiment", "refine")
+    ladders = cfg.get("experiment", "ladders")
 
     state0 = initial_state(cfg, grid, alpha, seed)
     state, fmap = co_advect(state0, DissipationMode.inviscid(), dt, T, make_lattice(grid, m))

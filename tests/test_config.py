@@ -1,12 +1,23 @@
 """Config parsing, validation, and round-trip serialization."""
 
 import inspect
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alpha_fluids.config import _SCHEMA, ConfigError, RunConfig, _any, parse_config
+from alpha_fluids.config import (
+    _IC_KINDS,
+    _SCHEMA,
+    EXPERIMENTS,
+    ConfigError,
+    RunConfig,
+    _any,
+    parse_config,
+    reads,
+)
 
 MINIMAL = """
 [run]
@@ -27,7 +38,7 @@ def test_minimal_config():
     assert cfg.experiment == "simulate2d"
     assert cfg.get("grid", "nx") == 64
     assert cfg.get("physics", "alpha") == 0.2
-    assert cfg.get("output", "series_every", 10) == 10  # default fills in
+    assert cfg.get("output", "series_every") == 10  # the simulate2d default fills in
 
 
 def test_negative_alpha_names_key_and_line():
@@ -136,6 +147,41 @@ def test_visc_limit_keys_accepted():
     assert cfg.get("experiment", "variants") == "strong"
 
 
+# experiment, [ic] kind, and the defaults of [time] dt, [time] t_final, [physics] alpha,
+# [ic] amp and [output] series_every; None: a key the experiment does not read
+PINNED_KEYS = [("time", "dt"), ("time", "t_final"), ("physics", "alpha"), ("ic", "amp"), ("output", "series_every")]
+PINNED = [
+    *(
+        (experiment, kind, (dt, t_final, 0.2, amp, every))
+        for experiment, dt, t_final, every in (
+            ("simulate2d", 1e-3, 1.0, 10), ("visc-limit", 2e-3, 0.5, None),
+            ("jacobi", 1e-3, 0.5, None), ("flowmap", 1e-3, 1.0, None),
+        )
+        for kind, amp in (("single_mode", 1.0), ("random_seeded", 0.2), ("two_mode", None))
+    ),
+    ("blob", None, (1e-3, 10.0, 0.3, None, 100)),
+    ("ch", None, (1e-4, 1.0, None, 0.1, 100)),
+    ("curvature", None, (None,) * 5),
+    ("alpha-sweep", None, (None,) * 5),
+]
+
+
+@pytest.mark.parametrize("experiment, kind, pinned", PINNED, ids=[f"{p[0]} {p[1]}" for p in PINNED])
+def test_defaults_that_differ_by_experiment(experiment, kind, pinned):
+    cfg = parse_config(f"[run]\nexperiment = {experiment}\n" + (f"[ic]\nkind = {kind}\n" if kind else ""))
+    for (section, key), value in zip(PINNED_KEYS, pinned):
+        if value is None:
+            with pytest.raises(KeyError):
+                cfg.get(section, key)
+        else:
+            assert cfg.get(section, key) == value, (section, key)
+
+
+def test_default_alphas_are_the_linspace_bit_for_bit():
+    alphas = parse_config("[run]\nexperiment = alpha-sweep\n").get("experiment", "alphas")
+    assert [a.hex() for a in alphas] == [float(a).hex() for a in np.linspace(0.0, 1.0, 21)]
+
+
 def test_int_past_the_float_range_is_out_of_range():
     with pytest.raises(ConfigError, match="seed") as exc:
         parse_config(f"[run]\nexperiment = blob\nseed = {10**400}\n")
@@ -178,14 +224,18 @@ _VALID = {s: {k: _values(*spec) for k, spec in keys.items()} for s, keys in _SCH
 
 @st.composite
 def _configs(draw):
-    sections = {}
-    for name, schema in _SCHEMA.items():
-        keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True, max_size=4))
-        if name == "run" and "experiment" not in keys:
-            keys.append("experiment")
-        if keys:  # serialize() writes no header for an empty section
-            sections[name] = {k: draw(_VALID[name][k]) for k in keys}
-    return RunConfig(sections["run"]["experiment"], sections)
+    """An experiment, maybe an [ic] kind it takes, and valid values for some of the keys they read."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    kind = draw(st.sampled_from([None, *_IC_KINDS.get(experiment, ())]))
+    table = reads(experiment, kind)
+    free = sorted(set(table) - {("run", "experiment"), ("ic", "kind")})
+    sections = {"run": {"experiment": experiment}, **({"ic": {"kind": kind}} if kind else {})}
+    for section, key in draw(st.lists(st.sampled_from(free), unique=True, max_size=8)):
+        values = _VALID[section][key]
+        if _SCHEMA[section][key][0] == "ints":  # as many integers as the default: [ic] k
+            values = values.filter(lambda v, n=len(table[section, key]): len(v) == n)
+        sections.setdefault(section, {})[key] = draw(values)
+    return RunConfig(experiment, sections)
 
 
 def _line_of(text, section, key):
@@ -213,5 +263,24 @@ def test_one_out_of_range_line_is_named(data):
     bad = data.draw(_values(*_SCHEMA[section][key], valid=False))
     text = RunConfig(cfg.experiment, {**cfg.sections, section: {**cfg.sections[section], key: bad}}).serialize()
     with pytest.raises(ConfigError, match="out of range") as exc:
+        parse_config(text)
+    assert exc.value.line == _line_of(text, section, key)
+
+
+# every (section, key) that some experiment reads with some [ic] kind
+_ANY_READ = {k for e in EXPERIMENTS for kind in [None, *_IC_KINDS.get(e, ())] for k in reads(e, kind)}
+
+
+@settings(max_examples=100, deadline=500)
+@given(st.data())
+def test_a_key_borrowed_from_another_table_is_named(data):
+    cfg = data.draw(_configs())
+    unread = sorted(_ANY_READ - set(reads(cfg.experiment, cfg.sections.get("ic", {}).get("kind"))))
+    section, key = data.draw(st.sampled_from(unread))
+    value = data.draw(_VALID[section][key])
+    sections = {**cfg.sections, section: {**cfg.sections.get(section, {}), key: value}}
+    text = RunConfig(cfg.experiment, sections).serialize()
+    match = re.escape(f"key '{key}' in section [{section}] is not read by {cfg.experiment}")
+    with pytest.raises(ConfigError, match=match) as exc:
         parse_config(text)
     assert exc.value.line == _line_of(text, section, key)

@@ -50,7 +50,7 @@ def test_single_threaded_rerun_is_byte_identical(path, tmp_path):
     digests = []
     for name in ("first", "second"):
         out = tmp_path / name
-        assert run_experiment(cfg, str(out), seed=cfg.get("run", "seed", 0), threads=1) == 0
+        assert run_experiment(cfg, str(out), seed=cfg.get("run", "seed"), threads=1) == 0
         digests.append(
             {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir() if f.name != "manifest.txt"}
         )
