@@ -7,9 +7,10 @@ Grammar (one entry per line):
     key = value                  entry in the current section
 
 Values are typed per key by _SCHEMA; unknown sections or keys are errors (no
-silent typo acceptance), as are out-of-range values and keys the experiment does
+silent typo acceptance), as are out-of-range values, keys the experiment does
 not read (_READS and _IC_KINDS hold the keys it reads, with the defaults that
-RunConfig.get falls back to).  Every error carries the offending line number.
+RunConfig.get falls back to) and a [physics] nu that the dissipation
+contradicts.  Every error carries the offending line number.
 serialize() emits a canonical form that reparses to an equal config.
 """
 
@@ -297,6 +298,12 @@ def parse_config(text: str) -> RunConfig:
         value, default = sections[section][key], table[section, key]
         if _SCHEMA[section][key][0] == "ints" and len(value) != len(default):  # [ic] k: 2 on the torus, 1 for ch
             raise ConfigError(f"value for {key!r} out of range: {experiment} reads {len(default)} integer(s)", lineno)
+    if ("physics", "dissipation") in table:  # nu > 0 exactly when the dissipation is not inviscid
+        variant, nu = (sections.get("physics", {}).get(k, table["physics", k]) for k in ("dissipation", "nu"))
+        if (variant == "inviscid") != (nu == 0.0):
+            key = "nu" if ("physics", "nu") in line_of else "dissipation"
+            raise ConfigError(f"value for {key!r} out of range: dissipation = {variant} with nu = {nu!r}; "
+                              "nu must be > 0 for viscous and strong, 0 for inviscid", line_of["physics", key])
     return RunConfig(experiment, sections)
 
 

@@ -199,8 +199,7 @@ def initial_state(cfg: RunConfig, grid: TorusGrid2D, alpha: AlphaParam, seed: in
 def _exp_simulate2d(cfg: RunConfig, outdir: str, seed: int) -> dict:
     grid = _grid_from(cfg)
     alpha = AlphaParam(cfg.get("physics", "alpha"))
-    variant = cfg.get("physics", "dissipation")
-    mode = DissipationMode.inviscid() if variant == "inviscid" else DissipationMode(variant, cfg.get("physics", "nu"))
+    mode = DissipationMode(cfg.get("physics", "dissipation"), cfg.get("physics", "nu"))
     dt = cfg.get("time", "dt")
     T = cfg.get("time", "t_final")
     every = cfg.get("output", "series_every")
@@ -393,8 +392,7 @@ def _viscosity_run(args) -> np.ndarray:
     cfg, seed, variant, nu = args
     alpha = AlphaParam(cfg.get("physics", "alpha"))
     state = initial_state(cfg, _grid_from(cfg), alpha, seed)
-    mode = DissipationMode.inviscid() if variant == "inviscid" else DissipationMode(variant, nu)
-    state = run(state, cfg.get("time", "dt"), cfg.get("time", "t_final"), mode)
+    state = run(state, cfg.get("time", "dt"), cfg.get("time", "t_final"), DissipationMode(variant, nu))
     return state.velocity().coeffs
 
 

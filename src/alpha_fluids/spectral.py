@@ -25,6 +25,11 @@ Conventions
   i ky, -i ky, -|k|^2, the safe |k|^2, the 2/3 and 1/2 drop masks, the mirror
   rows -jx) or, for 1 + alpha^2 |k|^2, cached per (grid, alpha^2) by
   smoothing(); every torus operator reads them and builds none.
+* The H^1_alpha metric <u,v> = int(u.v) + (alpha^2/2) int(Def u : Def v),
+  Def u = grad u + grad u^T, is summed in closed Fourier form by
+  inner_product_alpha: integration by parts turns the Def-tensor term into
+  alpha^2 S sum_k [|k|^2 uhat.conj(vhat) + (k.uhat) conj(k.vhat)], exact for
+  fields without Nyquist content, solenoidal or not.
 
 Fields are immutable values; all operations return new fields.  Results of
 this module's operations own fresh read-only arrays; the public constructor
@@ -378,44 +383,29 @@ def divergence_defect(u: SpectralField) -> float:
     return float(dot.max() / smax)
 
 
-def inner_product_alpha(
-    u: SpectralField, v: SpectralField, alpha: AlphaParam, method: str = "auto"
-) -> float:
-    """Metric pairing <u,v> = int(u.v) + (alpha^2/2) int(Def-tensor contraction).
+def inner_product_alpha(u: SpectralField, v: SpectralField, alpha: AlphaParam) -> float:
+    """Metric pairing <u,v> = int(u.v) + (alpha^2/2) int(A:B), A = grad u + grad u^T, B likewise for v.
 
-    For divergence-free fields this is computed mode-wise as
-    S * sum_k (1 + alpha^2 |k|^2) uhat(k).conj(vhat(k)); for general fields the
-    deformation-tensor quadrature (exact via padded sampling) is used.  The two
-    routes agree on solenoidal fields.
+    Integrating the Def-tensor term by parts, (1/2) int(A:B) = int(grad u : grad v)
+    + int(div u div v), so in closed form
+
+        <u,v> = S sum_k Re[(1 + alpha^2 |k|^2) uhat.conj(vhat) + alpha^2 (k.uhat) conj(k.vhat)]
+
+    over all nx*ny modes, for solenoidal and divergent fields alike.  It equals
+    the Def-tensor integral exactly for fields without Nyquist content (whose odd
+    derivatives are not representable), which covers every dealiased or
+    band-limited field the solvers and the geometry build.
     """
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     if not (u.is_vector and v.is_vector):
         raise ValueError("inner_product_alpha expects vector fields")
-    if method == "auto":
-        solenoidal = divergence_defect(u) < 1e-10 and divergence_defect(v) < 1e-10
-        method = "fourier" if solenoidal else "deformation"
     g = u.grid
-    if method == "fourier":
-        w = smoothing(g, alpha.alpha_sq).real
-        return g.area * sum_modes(g, w * (u.coeffs * np.conj(v.coeffs)).real)
-    if method != "deformation":
-        raise ValueError(f"unknown method {method!r}")
-    # Def-tensor quadrature on the doubled grid: exact for band-limited inputs
-    fine = (2 * g.nx, 2 * g.ny)
-    du = [to_physical_padded(derivative(u.component(i), ax), fine) for i in range(2) for ax in ("x", "y")]
-    dv = [to_physical_padded(derivative(v.component(i), ax), fine) for i in range(2) for ax in ("x", "y")]
-    us = to_physical_padded(u, fine)
-    vs = to_physical_padded(v, fine)
-    # A = grad + grad^T entries: A11 = 2 d1u1, A12 = d2u1 + d1u2, A22 = 2 d2u2
-    a11, a12, a22 = 2.0 * du[0], du[1] + du[2], 2.0 * du[3]
-    b11, b12, b22 = 2.0 * dv[0], dv[1] + dv[2], 2.0 * dv[3]
-    integrand = (
-        us[0] * vs[0]
-        + us[1] * vs[1]
-        + 0.5 * alpha.alpha_sq * (a11 * b11 + 2.0 * a12 * b12 + a22 * b22)
-    )
-    return float(g.area * integrand.mean())
+    w = smoothing(g, alpha.alpha_sq).real
+    ku = g.kx * u.coeffs[0] + g.ky * u.coeffs[1]
+    kv = g.kx * v.coeffs[0] + g.ky * v.coeffs[1]
+    smoothed = sum_modes(g, w * (u.coeffs * np.conj(v.coeffs)).real)
+    return g.area * (smoothed + alpha.alpha_sq * sum_modes(g, (ku * np.conj(kv)).real))
 
 
 def norm_alpha(u: SpectralField, alpha: AlphaParam) -> float:

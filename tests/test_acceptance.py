@@ -138,8 +138,8 @@ def test_criterion_02_helmholtz_leray_stokes():
     idem_s = np.abs(stokes_project(p2, a).coeffs - p2.coeffs).max()
     # metric orthogonality of the Stokes decomposition
     resid = w - p2
-    orth = abs(inner_product_alpha(p2, resid, a, method="deformation"))
-    orth_rel = orth / inner_product_alpha(w, w, a, method="deformation")
+    orth = abs(inner_product_alpha(p2, resid, a))
+    orth_rel = orth / inner_product_alpha(w, w, a)
     # Stokes = Leray on the torus
     agree = np.abs(p1.coeffs - p2.coeffs).max()
     ok = rt < 1e-12 and idem_l < 1e-12 and idem_s < 1e-12 and orth_rel < 1e-11 and agree < 1e-12

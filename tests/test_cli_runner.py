@@ -175,6 +175,7 @@ JACOBI_16 = TWO_MODE_16.replace("simulate2d", "jacobi") + "[experiment]\nepsilon
 
 # a short run; the two reproducers of the ROADMAP's "Measured" add keys their experiment does not read
 SHORT = "[run]\nexperiment = {}\n[time]\ndt = 0.01\nt_final = 0.02\n"
+SIMULATE2D_16 = SHORT.format("simulate2d") + "[grid]\nnx = 16\nny = 16\n"
 
 
 class TestShapeAndFiniteness:
@@ -214,6 +215,9 @@ class TestShapeAndFiniteness:
             "simulate2d", SHORT.format("simulate2d"), "[time]",
             "[ic]\nn_blobs = 3\n[experiment]\npairs = 5\nnus = 0.1 0.01\n[time]",
         ),
+        # a [physics] nu that the dissipation contradicts: ignored, or missing
+        ("simulate2d", SIMULATE2D_16, "[time]", "[physics]\ndissipation = inviscid\nnu = 0.5\n[time]"),
+        ("simulate2d", SIMULATE2D_16, "[time]", "[physics]\ndissipation = viscous\n[time]"),
     ]
 
     @pytest.mark.parametrize("experiment, text, old, new", PARSE_CASES, ids=[f"{c[0]}: {c[3]}" for c in PARSE_CASES])

@@ -224,7 +224,8 @@ _VALID = {s: {k: _values(*spec) for k, spec in keys.items()} for s, keys in _SCH
 
 @st.composite
 def _configs(draw):
-    """An experiment, maybe an [ic] kind it takes, and valid values for some of the keys they read."""
+    """An experiment, maybe an [ic] kind it takes, and valid values for some of the keys they read,
+    with a [physics] nu that agrees with the dissipation."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
     kind = draw(st.sampled_from([None, *_IC_KINDS.get(experiment, ())]))
     table = reads(experiment, kind)
@@ -235,6 +236,12 @@ def _configs(draw):
         if _SCHEMA[section][key][0] == "ints":  # as many integers as the default: [ic] k
             values = values.filter(lambda v, n=len(table[section, key]): len(v) == n)
         sections.setdefault(section, {})[key] = draw(values)
+    physics = sections.get("physics", {})  # simulate2d: nu > 0 exactly when the dissipation is not inviscid
+    if physics.get("dissipation", "inviscid") == "inviscid":
+        if "nu" in physics:
+            physics["nu"] = 0.0
+    elif not physics.get("nu", 0.0) > 0.0:
+        physics["nu"] = draw(_VALID["physics"]["nu"].filter(lambda v: v > 0.0))
     return RunConfig(experiment, sections)
 
 

@@ -33,6 +33,7 @@ from alpha_fluids.spectral import (
     make_grid,
     mode,
     to_physical,
+    to_physical_padded,
     to_spectral,
     zero_field,
 )
@@ -90,6 +91,28 @@ def predecessor_velocity_from_q(q, alpha, mean_velocity=(0.0, 0.0)):
     u.coeffs[:, 0, 0] = mean_velocity
     u.coeffs.flags.writeable = False
     return u
+
+
+def predecessor_exact_moment(q, n):
+    """integral(q^n) with quadrature on a grid fine enough to be alias-free."""
+    g = q.grid
+    mags = np.abs(q.coeffs)
+    scale = mags.max()
+    if scale == 0.0:
+        return 0.0
+    sx = int(np.abs(g.jx)[mags.max(axis=1) > 1e-300].max(initial=0))
+    sy = int(np.abs(g.jy)[mags.max(axis=0) > 1e-300].max(initial=0))
+    need_x = max(g.nx, 2 * ((n * sx + 2 + 1) // 2))
+    need_y = max(g.ny, 2 * ((n * sy + 2 + 1) // 2))
+    samples = to_physical_padded(q, (need_x, need_y))
+    return float(g.area * (samples**n).mean())
+
+
+def predecessor_casimirs(q, nmax):
+    """[integral(q), integral(q^2), ..., integral(q^nmax)], one padded transform per n."""
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    return [predecessor_exact_moment(q, n) for n in range(1, nmax + 1)]
 
 
 def predecessor_advection(up, q):
@@ -433,6 +456,16 @@ class TestConservedQuantities:
         assert c[1] == pytest.approx(S / 2, rel=1e-13)          # mean cos^2 = 1/2
         assert c[2] == pytest.approx(0.0, abs=1e-13)
         assert c[3] == pytest.approx(3 * S / 8, rel=1e-13)      # mean cos^4 = 3/8
+
+    def test_casimirs_match_per_n_predecessor(self):
+        g = make_grid(128, 128)
+        st = two_mode_state(g, 0.2)  # conservation_128.cfg's initial state, then t = 0.05
+        qs = [st.q, run(st, 1e-3, 0.05, DissipationMode.inviscid()).q, cosine_field(make_grid(32, 32), (0, 1))]
+        qs += [random_state(make_grid(*NON_SQUARE), 0.3).q, to_spectral(g, np.random.default_rng(1).standard_normal(g.shape))]
+        qs += [zero_field(g), cosine_field(g, (60, 3))]  # wide support: the padded grid grows with n
+        for q in qs:
+            for nmax in (1, 4, 6):
+                assert_same_bits(np.array(casimirs(q, nmax)), np.array(predecessor_casimirs(q, nmax)))
 
     def test_zero_field(self):
         g = make_grid(16, 16)

@@ -138,8 +138,8 @@ class TestStokesProjection:
         a = AlphaParam(0.6)
         v = stokes_project(w, a)
         resid = w - v
-        ip = inner_product_alpha(v, resid, a, method="deformation")
-        scale = inner_product_alpha(w, w, a, method="deformation")
+        ip = inner_product_alpha(v, resid, a)
+        scale = inner_product_alpha(w, w, a)
         assert abs(ip) < 1e-11 * scale
 
     def test_idempotent(self):

@@ -25,6 +25,7 @@ from alpha_fluids.spectral import (
     divergence_defect,
     inner_product_alpha,
     make_grid,
+    norm_alpha,
     smoothing,
     sum_modes,
     to_physical_padded,
@@ -259,13 +260,21 @@ class TestOperatorsMatchPredecessors:
         u, v = (derivative(f, "perp_gradient") for f in inputs(g, "scalar", 8)[:2])
         state = state_from_velocity(u, alpha)
         assert_same_bits(np.float64(energy_alpha(state)), np.float64(predecessor_energy_alpha(state)))
-        w = inputs(g, "vector", 9)[1]  # not solenoidal: "auto" takes the deformation route
-        for x, y in [(u, v), (u, w), (w, w)]:
-            for method in ("auto", "fourier", "deformation"):
-                assert_same_bits(
-                    np.float64(inner_product_alpha(x, y, alpha, method)),
-                    np.float64(predecessor_inner_product_alpha(x, y, alpha, method)),
-                )
+        e = 0.5 * inner_product_alpha(state.velocity(), state.velocity(), alpha)
+        assert abs(energy_alpha(state) - e) <= 1e-15 * e
+        # solenoidal: the closed form is the predecessor's Fourier route, bit for bit
+        q = inputs(g, "scalar", 10)[1]
+        for x, y in [(u, v), (v, v), (geometry.velocity_from_q(q, alpha), u)]:
+            assert_same_bits(
+                np.float64(inner_product_alpha(x, y, alpha)),
+                np.float64(predecessor_inner_product_alpha(x, y, alpha, "fourier")),
+            )
+        # not solenoidal, without Nyquist content: the Def-tensor quadrature to roundoff
+        w, z = inputs(g, "vector", 9)[1], derivative(inputs(g, "scalar", 11)[1], "gradient")
+        for x, y in [(u, w), (w, w), (w, z), (-w, u)]:
+            scale = norm_alpha(x, alpha) * norm_alpha(y, alpha)
+            oracle = predecessor_inner_product_alpha(x, y, alpha, "deformation")
+            assert abs(inner_product_alpha(x, y, alpha) - oracle) <= 1e-14 * scale
 
 
 def test_tables_are_read_only_and_shared():

@@ -24,6 +24,7 @@ from alpha_fluids.spectral import (
     inner_product_alpha,
     make_grid,
     mode,
+    norm_alpha,
     to_physical,
     to_physical_padded,
     to_spectral,
@@ -32,7 +33,7 @@ from alpha_fluids.spectral import (
     _symmetrize_ends,
 )
 
-from test_multiplier_tables import predecessor_dealias_modes
+from test_multiplier_tables import predecessor_dealias_modes, predecessor_inner_product_alpha
 
 
 def random_real(grid, seed=0, rank="scalar"):
@@ -481,13 +482,16 @@ class TestInnerProductAlpha:
         assert inner_product_alpha(u, u, AlphaParam(0.0)) == pytest.approx(l2, rel=1e-12)
 
     def test_fourier_vs_deformation_cross_check(self):
+        # the closed Fourier form against the Def-tensor quadrature, divergent fields included
         g = make_grid(48, 48)
         u = random_stream(g, seed=11, kmax=6)
         v = random_stream(g, seed=12, kmax=6)
+        w = dealias_two_thirds(random_real(g, seed=13, rank="vector"))
+        grad = derivative(dealias_two_thirds(random_real(g, seed=14)), "gradient")
         a = AlphaParam(0.7)
-        f = inner_product_alpha(u, v, a, method="fourier")
-        d = inner_product_alpha(u, v, a, method="deformation")
-        assert abs(f - d) <= 1e-10 * max(1.0, abs(f))
+        for x, y in [(u, v), (u, w), (w, w), (w, grad), (grad, grad)]:
+            d = predecessor_inner_product_alpha(x, y, a, "deformation")
+            assert abs(inner_product_alpha(x, y, a) - d) <= 1e-14 * norm_alpha(x, a) * norm_alpha(y, a)
 
     def test_alpha_monotonicity(self):
         g = make_grid(32, 32)
