@@ -1,20 +1,21 @@
 """Differential geometry of the volume-preserving diffeomorphism group at the
-identity, specialized to the flat 2D torus.
+identity, specialized to the flat 2D torus: the quadratic operator calU of the
+alpha metric and its polarization frakU, the covariant derivative, sectional
+curvature with the closed-form two-stream-mode anchor, the alpha sign-flip
+search, and Jacobi-field (linearized-flow) integration.
 
-Implements the quadratic operator calU and its polarization frakU, the
-covariant derivative of the alpha-weighted right-invariant metric, the
-curvature operator, sectional curvature with the closed-form two-stream-mode
-anchor, the alpha sign-flip search, and Jacobi-field (linearized-flow)
-integration.
+Sectional curvature is Arnold's formula (sectional_curvature),
+    K (|x|^2 |y|^2 - <x,y>^2) = <d,d> + 2<h,s> - 3<h,h> - <B(x,x), B(y,y)>,
+2d = B(x,y) + B(y,x), 2s = B(x,y) - B(y,x), 2h = [x,y], <B(c,a), b>_alpha =
+<[a,b], c>_alpha, so B(c,a) = -A^{-1} P[N(a,c) - alpha^2 N(a, Lap c)].  Alpha
+enters through A = 1 - alpha^2 Lap alone, never inside a product, so the
+products of a plane (N and [x,y]) are made once and serve every alpha.
 
-All products of band-limited fields are computed alias-free on the grid
-itself with real transforms, one transform pair per operator for all of its
-factors.  The spectral support of every factor pair is checked first: supports
-summing to at most n/2 - 1 on an axis of n points cannot alias there, and a
-product whose true support exceeds that raises SupportOverflowError instead of
-silently aliasing.  With enough margin every operator here is exact to
-roundoff, which is what makes the closed-form curvature anchor a sharp test.
-A NaN or inf coefficient in an operand raises FloatingPointError.
+All products of band-limited fields are computed alias-free on the grid itself,
+one real transform pair per operator (_exact_product).  A product whose support
+would exceed the grid raises SupportOverflowError instead of aliasing, and a NaN
+or inf operand raises FloatingPointError.  Every operator is exact to roundoff,
+which is what makes the closed-form curvature anchor a sharp test.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .spectral import (
     norm_alpha,
     to_physical,
     to_spectral_padded,
-    zero_field,
 )
 
 
@@ -159,25 +159,14 @@ def _calU_terms(shift: int) -> list:
     return terms
 
 
-_CALU = _form(4, _calU_terms(0))
 _CALU_PAIR = _form(8, _calU_terms(0) + _calU_terms(4))
-
-
-def _advect(x: SpectralField, y: SpectralField) -> SpectralField:
-    g = x.grid
-    out = _exact_product(FieldStack(g, np.concatenate([x.coeffs, _jacobian(y)])), _ADVECT)
-    return SpectralField._adopt(g, out)
 
 
 def advect(x: SpectralField, y: SpectralField) -> SpectralField:
     """Directional derivative (x . grad) y, exact for band-limited inputs."""
-    return _advect(_clean(x), _clean(y))
-
-
-def lie_bracket(x: SpectralField, y: SpectralField) -> SpectralField:
-    """[x, y] = (x . grad) y - (y . grad) x; divergence-free for solenoidal x, y."""
-    x, y = _clean(x), _clean(y)
-    return _advect(x, y) - _advect(y, x)
+    g = x.grid
+    out = _exact_product(FieldStack(g, np.concatenate([_clean(x).coeffs, _jacobian(_clean(y))])), _ADVECT)
+    return SpectralField._adopt(g, out)
 
 
 # -- the metric's quadratic operator and its polarization --------------------------
@@ -197,11 +186,7 @@ def calU(u: SpectralField, alpha: AlphaParam) -> SpectralField:
     it as div of Tr(Du Du) times the identity.  The smoothing inverse acts
     mode-wise as (1 + alpha^2 |k|^2)^{-1}.  Quadratic: calU(c u) = c^2 calU(u).
     """
-    g = u.grid
-    if alpha.alpha == 0.0:
-        return zero_field(g, "vector")
-    S = _exact_product(FieldStack(g, _jacobian(_clean(u))), _CALU)
-    return _smoothed_divergence(g, S, alpha)
+    return _frakU(u, u, alpha)
 
 
 def _frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
@@ -224,43 +209,101 @@ def covariant_derivative(x: SpectralField, y: SpectralField, alpha: AlphaParam) 
     P_e (x . grad) y.
     """
     x, y = _clean(x), _clean(y)
-    inner = _advect(x, y)
+    inner = advect(x, y)
     if alpha.alpha != 0.0:
         inner = inner + _frakU(x, y, alpha)
     return leray_project(inner)
 
 
-def curvature_op(
-    x: SpectralField, y: SpectralField, z: SpectralField, alpha: AlphaParam
-) -> SpectralField:
-    """Curvature operator R~(x, y) z at the identity.
+def _plane_form(n: int) -> _Form:
+    """N(a, m)^i = a^j d_j m^i + d_i a^j m^j at output 2 (n a + m) + i, for a in (x, y) and m
+    in the first n of (x, y, Lap x, Lap y), then [x, y]^i = x^j d_j y^i - y^j d_j x^i; field f
+    of that list is stacked from 6 f as (f^0, f^1, d_0 f^0, d_1 f^0, d_0 f^1, d_1 f^1)."""
+    u = lambda f, i: 6 * f + i
+    d = lambda f, i, j: 6 * f + 2 + 2 * i + j  # d_j f^i
+    terms = []
+    for a, m, i, j in np.ndindex(2, n, 2, 2):
+        o = 2 * (n * a + m) + i
+        terms += [(o, u(a, j), d(m, i, j), 1.0), (o, d(a, j, i), u(m, j), 1.0)]
+    for f, i, j in np.ndindex(2, 2, 2):
+        terms.append((4 * n + i, u(f, j), d(1 - f, i, j), 1.0 - 2.0 * f))
+    return _form(4 * n + 2, terms)
 
-    Assembled directly from covariant-derivative compositions of
-    right-invariant fields,
 
-        R~(x,y)z = nabla~_x nabla~_y z - nabla~_y nabla~_x z - nabla~_{[x,y]} z,
+_PLANE = {n: _plane_form(n) for n in (2, 4)}
 
-    with [x,y] = (x . grad) y - (y . grad) x.  This orientation makes the
-    unprojected (flat) part vanish identically on the torus and reproduces the
-    closed-form two-stream-mode curvature at alpha = 0, which is what pins the
-    two sign conventions.  Trilinear and antisymmetric in (x, y).
-    """
-    x, y, z = _clean(x), _clean(y), _clean(z)
-    cd = covariant_derivative
-    return cd(x, cd(y, z, alpha), alpha) - cd(y, cd(x, z, alpha), alpha) - cd(lie_bracket(x, y), z, alpha)
+
+class CurvaturePlane:
+    """The alpha-free products of the plane of x and y, from which K(alpha) follows with
+    multipliers and pairings alone: one _exact_product call makes N(a, c), N(a, Lap c) and
+    [x, y] (24 factors, 18 outputs).  Each P N drops coefficients below 1e-13 of the
+    unprojected peak, the projection's roundoff, so on planes of parallel wavevectors
+    (every N a gradient, [x, y] = 0) K is exactly 0."""
+
+    _fields = 4  # of x, y, Lap x, Lap y
+
+    def __init__(self, x: SpectralField, y: SpectralField):
+        self.x, self.y = _clean(x), _clean(y)
+        g = self.x.grid
+        vecs = [self.x, self.y] + [derivative(v, "laplacian") for v in (self.x, self.y)[: self._fields - 2]]
+        factors = np.concatenate([np.concatenate([v.coeffs, _jacobian(v)]) for v in vecs])
+        out = _exact_product(FieldStack(g, factors), _PLANE[self._fields])
+        n = out[:-2].reshape((2, self._fields, 2) + g.coeff_shape)
+        self.pn = np.empty_like(n)  # pn[a, m] = P N(a, m)
+        for a, m in np.ndindex(n.shape[:2]):
+            p = leray_project(SpectralField._adopt(g, n[a, m])).coeffs
+            self.pn[a, m] = np.where(np.abs(p) > 1e-13 * np.abs(n[a, m]).max(), p, 0.0)
+        self.h = SpectralField._adopt(g, 0.5 * out[-2:])
+        self._K = {}  # alpha -> K
+
+    def K(self, alpha: AlphaParam) -> float:
+        """Sectional curvature of the plane in the alpha metric, evaluated once per alpha."""
+        if alpha.alpha not in self._K:
+            self._K[alpha.alpha] = self._arnold(alpha)
+        return self._K[alpha.alpha]
+
+    def _arnold(self, alpha: AlphaParam) -> float:
+        ip = lambda u, v: inner_product_alpha(u, v, alpha)
+        xx, yy, xy = ip(self.x, self.x), ip(self.y, self.y), ip(self.x, self.y)
+        gram = xx * yy - xy * xy
+        if gram <= 1e-12 * xx * yy:
+            raise DegeneratePlaneError("directions are numerically collinear")
+        pm = self.pn[:, :2] - alpha.alpha_sq * self.pn[:, 2:] if alpha.alpha != 0.0 else self.pn[:, :2]
+        B = lambda c, a: helmholtz_inverse(SpectralField._adopt(self.x.grid, -pm[a, c]), alpha)
+        bxy, byx = B(0, 1), B(1, 0)
+        d, s, h = 0.5 * (bxy + byx), 0.5 * (bxy - byx), self.h
+        return (ip(d, d) + 2.0 * ip(h, s) - 3.0 * ip(h, h) - ip(B(0, 0), B(1, 1))) / gram
+
+    def alpha0(self) -> float | None:
+        """The alpha in (0, 1] where K changes sign (21 scan alphas, bisection to 1e-4), or None."""
+        vals = [(a, self.K(AlphaParam(a))) for a in np.linspace(0.0, 1.0, 21)]
+        flips = [(lo, hi) for (lo, k_lo), (hi, k_hi) in zip(vals, vals[1:]) if k_lo < 0.0 <= k_hi]
+        if not flips:
+            return None
+        lo, hi = flips[0]
+        while hi - lo > 1e-4:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if self.K(AlphaParam(mid)) < 0.0 else (lo, mid)
+        return 0.5 * (lo + hi)
+
+
+class _EulerPlane(CurvaturePlane):
+    _fields = 2  # K at alpha = 0 only: without the Lap factors, 12 factors into 10 outputs
 
 
 def sectional_curvature(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> float:
-    """K(x, y) = <R~(x,y)y, x>_alpha / (|x|^2 |y|^2 - <x,y>^2); scale-invariant."""
-    x, y = _clean(x), _clean(y)
-    xx = inner_product_alpha(x, x, alpha)
-    yy = inner_product_alpha(y, y, alpha)
-    xy = inner_product_alpha(x, y, alpha)
-    gram = xx * yy - xy * xy
-    if gram <= 1e-12 * xx * yy:
-        raise DegeneratePlaneError("directions are numerically collinear")
-    num = inner_product_alpha(curvature_op(x, y, y, alpha), x, alpha)
-    return num / gram
+    """K(x, y) in the alpha metric by Arnold's formula; scale-invariant.
+
+        K (|x|^2 |y|^2 - <x,y>^2) = <d,d> + 2<h,s> - 3<h,h> - <B(x,x), B(y,y)>,
+        2d = B(x,y) + B(y,x),   2s = B(x,y) - B(y,x),   2h = [x,y] = (x . grad) y - (y . grad) x,
+
+    every pairing in the alpha metric, <B(c,a), b>_alpha = <[a,b], c>_alpha for divergence-free
+    b.  By parts, with <u,v>_alpha = <u, A v>_L2 and A = 1 - alpha^2 Lap, B(c,a) =
+    -A^{-1} P[N(a,c) - alpha^2 N(a, Lap c)], N(a,m) = (a . grad) m + (grad a)^T m: alpha enters
+    through A alone, so the products N(a,c), N(a, Lap c), [x,y] serve every alpha (CurvaturePlane).
+    The tests check K against <R~(x,y)y, x>_alpha / gram of nested covariant derivatives.
+    """
+    return (_EulerPlane if alpha.alpha == 0.0 else CurvaturePlane)(x, y).K(alpha)
 
 
 def arnold_closed_form(k: tuple[int, int], l: tuple[int, int], S: float) -> float:
@@ -284,65 +327,23 @@ def arnold_closed_form(k: tuple[int, int], l: tuple[int, int], S: float) -> floa
     return -float((k @ k + l @ l) * sin2(k, l) * sin2(k + l, k - l) / (4.0 * S))
 
 
-def grid_for_modes(*wavevectors, margin: int = 4) -> TorusGrid2D:
+def grid_for_modes(*wavevectors) -> TorusGrid2D:
     """Smallest comfortable 2pi-torus grid for curvature work on the given modes.
 
-    Nested covariant-derivative compositions with the quadratic smoothing
-    operator grow spectral support by a factor of about margin (4 covers
-    R~(x,y)z at alpha > 0), so the grid must hold margin * max|k| + slack per
-    axis.
+    Arnold's formula multiplies fields of the plane and their derivatives, never
+    a product again, so supports at most double and n >= 4 max|k| + 4 suffices
+    (margin 2; the nested R~(x,y)z of the test oracle needs margin 4).
     """
     kmax = max(int(np.abs(np.asarray(w)).max()) for w in wavevectors)
-    need = 2 * (margin * kmax + 2)
-    n = 8
-    while n < need:
-        n *= 2
+    n = max(8, 1 << (4 * kmax + 3).bit_length())  # the smallest power of 2 >= 4 kmax + 4
     return TorusGrid2D(n, n)
 
 
-def find_alpha0(
-    k: tuple[int, int],
-    eps: tuple[int, int],
-    tol: float = 1e-4,
-    grid: TorusGrid2D | None = None,
-    n_scan: int = 20,
-    known: dict | None = None,
-) -> float | None:
-    """Bisection for the alpha at which K(xi, psi) changes sign on (0, 1].
-
-    Stream modes xi = cos(k.x), psi = cos(l.x) with l = k + eps.  Returns the
-    crossing alpha0 to absolute tolerance tol, or None when no sign flip is
-    found in (0, 1] (a reported outcome, not an error).  known maps alphas to
-    K values the caller already computed for this plane on this grid; K is
-    evaluated only at the alphas it does not hold.
-    """
+def find_alpha0(k: tuple[int, int], eps: tuple[int, int]) -> float | None:
+    """CurvaturePlane.alpha0 of the stream modes cos(k.x), cos(l.x) with l = k + eps."""
     l = (k[0] + eps[0], k[1] + eps[1])
-    g = grid if grid is not None else grid_for_modes(k, l)
-    xi = stream_mode(g, k)
-    psi = stream_mode(g, l)
-    known = known or {}
-
-    def kappa(a: float) -> float:
-        if a in known:
-            return known[a]
-        return sectional_curvature(xi, psi, AlphaParam(a))
-
-    alphas = np.linspace(0.0, 1.0, n_scan + 1)
-    vals = [kappa(a) for a in alphas]
-    lo = hi = None
-    for i in range(n_scan):
-        if vals[i] < 0.0 <= vals[i + 1]:
-            lo, hi = alphas[i], alphas[i + 1]
-            break
-    if lo is None:
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if kappa(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    g = grid_for_modes(k, l)
+    return CurvaturePlane(stream_mode(g, k), stream_mode(g, l)).alpha0()
 
 
 # -- Jacobi fields via the linearized flow ------------------------------------------

@@ -47,10 +47,10 @@ from .dynamics import (
 )
 from .flowmap import co_advect, make_lattice, transport_check, volume_check
 from .geometry import (
+    CurvaturePlane,
     DegeneratePlaneError,
     SupportOverflowError,
     arnold_closed_form,
-    find_alpha0,
     grid_for_modes,
     jacobi_evolve,
     sectional_curvature,
@@ -407,11 +407,10 @@ def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int) -> dict:
             f"({l[0]}, {l[1]}), which span no plane: both must be nonzero, and l must not be k or -k"
         )
     grid = grid_for_modes(k, l)
-    x = stream_mode(grid, k)
-    y = stream_mode(grid, l)
-    rows = [(a, sectional_curvature(x, y, AlphaParam(a))) for a in alphas]
+    plane = CurvaturePlane(stream_mode(grid, k), stream_mode(grid, l))
+    rows = [(a, plane.K(AlphaParam(a))) for a in alphas]
     write_csv(os.path.join(outdir, "sweep.csv"), ["alpha", "sectional_curvature"], rows)
-    a0 = find_alpha0(k, eps, grid=grid, known=dict(rows))
+    a0 = plane.alpha0()
     diag = {"k": f"{k[0]} {k[1]}", "l": f"{l[0]} {l[1]}"}
     diag["alpha0"] = a0 if a0 is not None else "no flip in (0,1]"
     return diag

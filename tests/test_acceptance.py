@@ -4,7 +4,9 @@ Every test prints a single "ACCEPTANCE <n>: PASS/FAIL" line (run with -s to
 see them live).  Criterion 8 is kept in its original form and is a documented
 failure: for the stream-mode pair k=(1,0), l=(1,1) the sectional curvature of
 the alpha metric stays negative on all of (0, 1] (verified by two
-independent curvature assemblies); the sign-flip apparatus itself is
+independent curvature assemblies: Arnold's formula in geometry, and the
+nested covariant derivatives in test_geometry.py, which agree at criterion
+8's scan alphas); the sign-flip apparatus itself is
 demonstrated by the companion test on a pair where the flip does occur.
 """
 

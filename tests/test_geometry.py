@@ -2,6 +2,7 @@
 
 The derived oracles here are the ones that pin every convention:
   * the closed-form two-stream-mode curvature at alpha = 0,
+  * the nested covariant-derivative curvature against Arnold's formula,
   * metric compatibility of the connection (right-invariant form),
   * the geodesic spray assembled independently in momentum variables,
   * the instantaneous Jacobi identity against the linearized flow.
@@ -20,6 +21,7 @@ from alpha_fluids import geometry, runner
 from alpha_fluids.cli import main
 from alpha_fluids.dynamics import state_from_velocity, velocity_from_q
 from alpha_fluids.geometry import (
+    CurvaturePlane,
     DegeneratePlaneError,
     JacobiTrajectory,
     SupportOverflowError,
@@ -32,11 +34,9 @@ from alpha_fluids.geometry import (
     arnold_closed_form,
     calU,
     covariant_derivative,
-    curvature_op,
     find_alpha0,
     grid_for_modes,
     jacobi_evolve,
-    lie_bracket,
     sectional_curvature,
     stream_mode,
 )
@@ -213,6 +213,44 @@ def ref_curvature_op(x, y, z, alpha):
     cd = ref_covariant_derivative
     bracket = ref_advect(x, y) - ref_advect(y, x)
     return cd(x, cd(y, z, alpha), alpha) - cd(y, cd(x, z, alpha), alpha) - cd(bracket, z, alpha)
+
+
+# -- the nested curvature assembly: the predecessor of Arnold's formula, kept as its oracle --
+
+
+def lie_bracket(x, y):
+    """[x, y] = (x . grad) y - (y . grad) x; divergence-free for solenoidal x, y."""
+    return advect(x, y) - advect(y, x)
+
+
+def curvature_op(x, y, z, alpha):
+    """Curvature operator R~(x, y) z at the identity.
+
+    Assembled directly from covariant-derivative compositions of
+    right-invariant fields,
+
+        R~(x,y)z = nabla~_x nabla~_y z - nabla~_y nabla~_x z - nabla~_{[x,y]} z,
+
+    with [x,y] = (x . grad) y - (y . grad) x.  This orientation makes the
+    unprojected (flat) part vanish identically on the torus and reproduces the
+    closed-form two-stream-mode curvature at alpha = 0, which is what pins the
+    two sign conventions.  Trilinear and antisymmetric in (x, y).
+    """
+    x, y, z = _clean(x), _clean(y), _clean(z)
+    cd = covariant_derivative
+    return cd(x, cd(y, z, alpha), alpha) - cd(y, cd(x, z, alpha), alpha) - cd(lie_bracket(x, y), z, alpha)
+
+
+def nested_sectional_curvature(x, y, alpha):
+    """K(x, y) = <R~(x,y)y, x>_alpha / (|x|^2 |y|^2 - <x,y>^2); scale-invariant."""
+    x, y = _clean(x), _clean(y)
+    xx = inner_product_alpha(x, x, alpha)
+    yy = inner_product_alpha(y, y, alpha)
+    xy = inner_product_alpha(x, y, alpha)
+    gram = xx * yy - xy * xy
+    if gram <= 1e-12 * xx * yy:
+        raise DegeneratePlaneError("directions are numerically collinear")
+    return inner_product_alpha(curvature_op(x, y, y, alpha), x, alpha) / gram
 
 
 def rel_diff(out, ref):
@@ -398,13 +436,6 @@ class TestCalU:
 
 
 class TestFrakU:
-    def test_diagonal_is_calU(self):
-        g = make_grid(32, 32)
-        a = AlphaParam(0.6)
-        u = rand_stream(g, 2)
-        diff = _frakU(u, u, a) - calU(u, a)
-        assert np.abs(diff.coeffs).max() < 1e-12 * max(1.0, np.abs(calU(u, a).coeffs).max())
-
     def test_zero_argument(self):
         g = make_grid(16, 16)
         u = stream_mode(g, (1, 0))
@@ -595,6 +626,68 @@ class TestSectionalCurvature:
             assert K2 == pytest.approx(K1, rel=1e-11)
 
 
+def assert_K_matches_oracle(K, K_ref):
+    """1e-13 relative, or 1e-16 absolute where |K| < 1e-3."""
+    assert abs(K - K_ref) <= (1e-13 * abs(K_ref) if abs(K_ref) >= 1e-3 else 1e-16)
+
+
+class TestArnoldMatchesNestedOracle:
+    """Arnold's formula on one plane of products against <R~(x,y)y, x> of nested covariant derivatives."""
+
+    @pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+    @pytest.mark.parametrize("a_val", [0.0, 0.3])
+    @pytest.mark.parametrize("seeds", [(41, 42), (51, 52), (61, 62)])
+    def test_random_planes(self, nx, ny, Lx, Ly, a_val, seeds):
+        g = make_grid(nx, ny, Lx, Ly)
+        x, y = rand_stream(g, seeds[0]), rand_stream(g, seeds[1])
+        a = AlphaParam(a_val)
+        assert_K_matches_oracle(sectional_curvature(x, y, a), nested_sectional_curvature(x, y, a))
+
+    @pytest.mark.parametrize("a_val", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_criterion_8_plane(self, a_val):
+        """k = (1,0), l = (1,1) at criterion 8's scan alphas, on the grid it uses (margin 2) against
+        the nested route on the margin-4 grid it needs."""
+        k, l = (1, 0), (1, 1)
+        a = AlphaParam(a_val)
+        g = grid_for_modes(k, l)
+        K = sectional_curvature(stream_mode(g, k), stream_mode(g, l), a)
+        g4 = make_grid(16, 16)
+        assert_K_matches_oracle(K, nested_sectional_curvature(stream_mode(g4, k), stream_mode(g4, l), a))
+
+    @pytest.mark.parametrize("k,l", [((1, 1), (2, 2)), ((1, 0), (3, 0)), ((2, -1), (-4, 2))])
+    @pytest.mark.parametrize("a_val", [0.0, 0.5])
+    def test_parallel_wavevectors_exactly_flat(self, k, l, a_val):
+        """Every N is a gradient and [x, y] = 0: the projections' roundoff is zeroed, not summed."""
+        g = grid_for_modes(k, l)
+        x, y = stream_mode(g, k), stream_mode(g, l)
+        assert abs(sectional_curvature(x, y, AlphaParam(a_val))) <= 1e-30
+        plane = CurvaturePlane(x, y)
+        assert not plane.pn.any() and not plane.h.coeffs.any()
+
+    def test_one_plane_serves_every_alpha(self, monkeypatch):
+        g = make_grid(32, 32)
+        x, y = rand_stream(g, 71), rand_stream(g, 72)
+        alphas = [AlphaParam(a) for a in (0.0, 0.2, 0.7)]
+        refs = [nested_sectional_curvature(x, y, a) for a in alphas]
+        calls, real = [], geometry._exact_product
+        monkeypatch.setattr(geometry, "_exact_product", lambda *a: calls.append(a[0].coeffs.shape[0]) or real(*a))
+        plane = CurvaturePlane(x, y)
+        for a, ref in zip(alphas, refs):
+            assert_K_matches_oracle(plane.K(a), ref)
+        assert calls == [24]  # factors of the one product call of the plane
+        # sectional_curvature at alpha = 0 builds its plane without the Lap factors
+        assert sectional_curvature(x, y, alphas[0]) == pytest.approx(plane.K(alphas[0]), rel=1e-14)
+        assert sectional_curvature(x, y, alphas[1]) == plane.K(alphas[1])
+        assert calls == [24, 12, 24]
+
+    def test_support_overflow_raises(self):
+        """(3,3), (3,-3) fits 16x16 at margin 2, (4,4), (4,-4) does not."""
+        g = make_grid(16, 16)
+        assert sectional_curvature(stream_mode(g, (3, 3)), stream_mode(g, (3, -3)), AlphaParam(0.5)) < 0.0
+        with pytest.raises(SupportOverflowError, match="larger grid"):
+            sectional_curvature(stream_mode(g, (4, 4)), stream_mode(g, (4, -4)), AlphaParam(0.5))
+
+
 class TestArnoldClosedForm:
     def test_hand_value(self):
         assert arnold_closed_form((1, 0), (0, 1), S_2PI) == pytest.approx(-1 / (8 * np.pi**2), rel=1e-14)
@@ -634,43 +727,24 @@ class TestFindAlpha0:
     def test_shipped_value(self):
         assert find_alpha0((2, 2), (0, 1)) == 0.673291015625
 
-    @staticmethod
-    def count_curvature_calls(monkeypatch, *modules):
-        """(alphas of every sectional_curvature call from now on, the unpatched function)."""
-        calls, real = [], geometry.sectional_curvature
-
-        def counted(x, y, alpha):
-            calls.append(alpha.alpha)
-            return real(x, y, alpha)
-
-        for m in modules:
-            monkeypatch.setattr(m, "sectional_curvature", counted)
-        return calls, real
-
-    def test_known_values_are_not_recomputed(self, monkeypatch):
-        calls, real = self.count_curvature_calls(monkeypatch, geometry)
-        a0 = find_alpha0((2, 2), (0, 1))
-        scan = np.linspace(0.0, 1.0, 21)
-        assert calls[:21] == list(scan)
-        n_bisect = len(calls) - 21
-        g = grid_for_modes((2, 2), (2, 3))
-        x, y = stream_mode(g, (2, 2)), stream_mode(g, (2, 3))
-        known = {a: real(x, y, AlphaParam(a)) for a in scan[::2]}
-        calls.clear()
-        assert find_alpha0((2, 2), (0, 1), known=known) == a0
-        assert len(calls) == 21 - len(known) + n_bisect
-        assert not set(calls) & set(known)
-
     def test_sweep_evaluates_each_alpha_once(self, tmp_path, monkeypatch):
-        """One alpha_sweep_flip.cfg run: 21 sweep points plus the bisection, and the same alpha0."""
+        """One alpha_sweep_flip.cfg run: one plane and one product call; K is evaluated at the
+        21 sweep points plus the bisection, each alpha once, and alpha0 is find_alpha0's."""
         a0 = find_alpha0((2, 2), (0, 1))
         n_bisect = int(np.ceil(np.log2((1.0 / 20) / 1e-4)))  # a scan interval halved down to tol
-        calls, _ = self.count_curvature_calls(monkeypatch, geometry, runner)
+        evals, products = [], []
+        real_arnold, real_product = CurvaturePlane._arnold, geometry._exact_product
+        monkeypatch.setattr(CurvaturePlane, "_arnold", lambda p, a: evals.append((p, a.alpha)) or real_arnold(p, a))
+        monkeypatch.setattr(geometry, "_exact_product", lambda *a: products.append(1) or real_product(*a))
         cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "alpha_sweep_flip.cfg")
         out = tmp_path / "out"
         assert main(["alpha-sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert len(calls) == 21 + n_bisect
-        assert len(set(calls)) == len(calls)
+        assert len(products) == 1
+        assert len({p for p, _ in evals}) == 1
+        alphas = [a for _, a in evals]
+        assert alphas[:21] == [0.05 * i for i in range(21)]
+        assert len(alphas) == 21 + n_bisect
+        assert len(set(alphas)) == len(alphas)
         manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
         assert float(manifest["alpha0"]) == a0
 
