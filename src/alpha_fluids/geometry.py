@@ -6,10 +6,11 @@ search, and Jacobi-field (linearized-flow) integration.
 
 Sectional curvature is Arnold's formula (sectional_curvature),
     K (|x|^2 |y|^2 - <x,y>^2) = <d,d> + 2<h,s> - 3<h,h> - <B(x,x), B(y,y)>,
-2d = B(x,y) + B(y,x), 2s = B(x,y) - B(y,x), 2h = [x,y], <B(c,a), b>_alpha =
-<[a,b], c>_alpha, so B(c,a) = -A^{-1} P[N(a,c) - alpha^2 N(a, Lap c)].  Alpha
-enters through A = 1 - alpha^2 Lap alone, never inside a product, so the
-products of a plane (N and [x,y]) are made once and serve every alpha.
+2d = B(x,y) + B(y,x), 2s = B(x,y) - B(y,x), 2h = [x,y], <B(c,a), b>_alpha = <[a,b], c>_alpha,
+so B(c,a) = -X_ac / A_k, X_ac = P[N(a,c) - alpha^2 N(a, Lap c)], A_k = 1 + alpha^2 |k|^2: the
+products of a plane (N and [x,y]) serve every alpha.  As k.X = 0, each pairing with a B is one
+sum over modes with one 1/A_k or none, and <h,h>, <x,x>, <y,y>, <x,y> are each S (g0 + alpha^2
+g1), so K gram = S sum_k (c0 + alpha^2 c1 + alpha^4 c2) / A_k + S (e0 + alpha^2 e1) (CurvaturePlane).
 
 All products of band-limited fields are computed alias-free on the grid itself,
 one real transform pair per operator (_exact_product).  A product whose support
@@ -37,7 +38,6 @@ from .spectral import (
     dealias_two_thirds,
     derivative,
     gradient_into,
-    inner_product_alpha,
     norm_alpha,
     to_physical,
     to_spectral_padded,
@@ -234,11 +234,14 @@ _PLANE = {n: _plane_form(n) for n in (2, 4)}
 
 
 class CurvaturePlane:
-    """The alpha-free products of the plane of x and y, from which K(alpha) follows with
-    multipliers and pairings alone: one _exact_product call makes N(a, c), N(a, Lap c) and
-    [x, y] (24 factors, 18 outputs).  Each P N drops coefficients below 1e-13 of the
-    unprojected peak, the projection's roundoff, so on planes of parallel wavevectors
-    (every N a gradient, [x, y] = 0) K is exactly 0."""
+    """The alpha-free products of the plane of x and y, from which K(alpha) is one weighted sum over
+    modes: one _exact_product call makes N(a, c), N(a, Lap c) and [x, y] (24 factors, 18 outputs).
+    Each P N drops coefficients below 1e-13 of the unprojected peak, the projection's roundoff, so
+    on planes of parallel wavevectors (every N a gradient, [x, y] = 0) K is exactly 0.  With
+    X_ac = P N(a,c) - alpha^2 P N(a, Lap c) = -A_k B(c,a), A_k = 1 + alpha^2 |k|^2, k.X = 0 gives
+    <B, B'>_alpha = S sum_k Re[X.conj(X')] / A_k and <h, B>_alpha = -S sum_k Re[h.conj(X)], so K gram
+    = S sum_k (c0 + alpha^2 c1 + alpha^4 c2) / A_k + S (e0 + alpha^2 e1), over the stored half with
+    weight 1 on the columns jy = 0, ny/2 and 2 elsewhere; _EulerPlane makes the alpha^0 terms alone."""
 
     _fields = 4  # of x, y, Lap x, Lap y
 
@@ -254,6 +257,17 @@ class CurvaturePlane:
             p = leray_project(SpectralField._adopt(g, n[a, m])).coeffs
             self.pn[a, m] = np.where(np.abs(p) > 1e-13 * np.abs(n[a, m]).max(), p, 0.0)
         self.h = SpectralField._adopt(g, 0.5 * out[-2:])
+        w = np.where((g.jy == 0) | (g.jy == -(g.ny // 2)), 1.0, 2.0)  # a stored mode's count in the full sum
+        dot = lambda u, v: w * (u * np.conj(v)).real.sum(axis=-3)  # weighted Re[u.conj(v)] per mode
+        X = np.stack([self.pn[:, :2], -self.pn[:, 2:]][: self._fields // 2])  # X_ac = X[0, a, c] + alpha^2 X[1, a, c]
+        d, s = 0.5 * (X[:, 1, 0] + X[:, 0, 1]), 0.5 * (X[:, 1, 0] - X[:, 0, 1])  # A_k times -d, -s
+        cij = dot(d[:, None], d) - dot(X[:, None, 0, 0], X[:, 1, 1])  # the alpha^(2i + 2j) terms
+        c = np.array([cij[0, 0]] if len(X) == 1 else [cij[0, 0], cij[0, 1] + cij[1, 0], cij[1, 1]])
+        self._c, self._k_sq = c.reshape(len(c), -1), g.k_sq.ravel()
+        x, y, h = self.x.coeffs, self.y.coeffs, self.h.coeffs
+        uv = dot(np.stack([x, y, x, h]), np.stack([x, y, y, h]))  # <x,x>, <y,y>, <x,y>, <h,h> per mode
+        gm = np.array([uv.sum(axis=(1, 2)), (g.k_sq * uv).sum(axis=(1, 2))])  # g0, g1 (k.u = 0: no Def term)
+        self._gram, self._e = gm[:, :3], -2.0 * dot(h, s).sum(axis=(1, 2)) - 3.0 * gm[: len(X), 3]
         self._K = {}  # alpha -> K
 
     def K(self, alpha: AlphaParam) -> float:
@@ -263,16 +277,16 @@ class CurvaturePlane:
         return self._K[alpha.alpha]
 
     def _arnold(self, alpha: AlphaParam) -> float:
-        ip = lambda u, v: inner_product_alpha(u, v, alpha)
-        xx, yy, xy = ip(self.x, self.x), ip(self.y, self.y), ip(self.x, self.y)
+        a2 = alpha.alpha_sq
+        if a2 != 0.0 and len(self._e) == 1:
+            raise ValueError(f"this plane holds alpha = 0 only, not alpha = {alpha.alpha}")
+        xx, yy, xy = self._gram[0] + a2 * self._gram[1]
         gram = xx * yy - xy * xy
         if gram <= 1e-12 * xx * yy:
             raise DegeneratePlaneError("directions are numerically collinear")
-        pm = self.pn[:, :2] - alpha.alpha_sq * self.pn[:, 2:] if alpha.alpha != 0.0 else self.pn[:, :2]
-        B = lambda c, a: helmholtz_inverse(SpectralField._adopt(self.x.grid, -pm[a, c]), alpha)
-        bxy, byx = B(0, 1), B(1, 0)
-        d, s, h = 0.5 * (bxy + byx), 0.5 * (bxy - byx), self.h
-        return (ip(d, d) + 2.0 * ip(h, s) - 3.0 * ip(h, h) - ip(B(0, 0), B(1, 1))) / gram
+        powers = a2 ** np.arange(len(self._c))  # 1, alpha^2, alpha^4
+        top = (powers @ self._c / (1.0 + a2 * self._k_sq)).sum() + self._e @ powers[: len(self._e)]
+        return float(top / (self.x.grid.area * gram))
 
     def alpha0(self) -> float | None:
         """The alpha in (0, 1] where K changes sign (21 scan alphas, bisection to 1e-4), or None."""
@@ -298,9 +312,10 @@ def sectional_curvature(x: SpectralField, y: SpectralField, alpha: AlphaParam) -
         2d = B(x,y) + B(y,x),   2s = B(x,y) - B(y,x),   2h = [x,y] = (x . grad) y - (y . grad) x,
 
     every pairing in the alpha metric, <B(c,a), b>_alpha = <[a,b], c>_alpha for divergence-free
-    b.  By parts, with <u,v>_alpha = <u, A v>_L2 and A = 1 - alpha^2 Lap, B(c,a) =
-    -A^{-1} P[N(a,c) - alpha^2 N(a, Lap c)], N(a,m) = (a . grad) m + (grad a)^T m: alpha enters
-    through A alone, so the products N(a,c), N(a, Lap c), [x,y] serve every alpha (CurvaturePlane).
+    b.  By parts, with <u,v>_alpha = <u, A v>_L2 and A = 1 - alpha^2 Lap, B(c,a) = -A^{-1} X_ac,
+    X_ac = P[N(a,c) - alpha^2 N(a, Lap c)], N(a,m) = (a . grad) m + (grad a)^T m.  Alpha enters
+    through A alone (A_k = 1 + alpha^2 |k|^2) and k.X = 0, so from N(a,c), N(a, Lap c), [x,y]
+    (CurvaturePlane) K gram = S sum_k (c0 + alpha^2 c1 + alpha^4 c2) / A_k + S (e0 + alpha^2 e1).
     The tests check K against <R~(x,y)y, x>_alpha / gram of nested covariant derivatives.
     """
     return (_EulerPlane if alpha.alpha == 0.0 else CurvaturePlane)(x, y).K(alpha)

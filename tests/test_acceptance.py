@@ -61,7 +61,6 @@ from alpha_fluids.spectral import (
     SpectralField,
     cosine_field,
     derivative,
-    divergence_defect,
     full_coeffs,
     inner_product_alpha,
     make_grid,

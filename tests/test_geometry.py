@@ -25,6 +25,7 @@ from alpha_fluids.geometry import (
     DegeneratePlaneError,
     JacobiTrajectory,
     SupportOverflowError,
+    _EulerPlane,
     _clean,
     _exact_product,
     _frakU,
@@ -251,6 +252,21 @@ def nested_sectional_curvature(x, y, alpha):
     if gram <= 1e-12 * xx * yy:
         raise DegeneratePlaneError("directions are numerically collinear")
     return inner_product_alpha(curvature_op(x, y, y, alpha), x, alpha) / gram
+
+
+def pairing_arnold(plane, alpha):
+    """The predecessor of CurvaturePlane._arnold: Arnold's formula from seven metric pairings of
+    the B fields, each B(c,a) = -A^{-1} P[N(a,c) - alpha^2 N(a, Lap c)] a Helmholtz inverse."""
+    ip = lambda u, v: inner_product_alpha(u, v, alpha)
+    xx, yy, xy = ip(plane.x, plane.x), ip(plane.y, plane.y), ip(plane.x, plane.y)
+    gram = xx * yy - xy * xy
+    if gram <= 1e-12 * xx * yy:
+        raise DegeneratePlaneError("directions are numerically collinear")
+    pm = plane.pn[:, :2] - alpha.alpha_sq * plane.pn[:, 2:] if alpha.alpha != 0.0 else plane.pn[:, :2]
+    B = lambda c, a: helmholtz_inverse(SpectralField._adopt(plane.x.grid, -pm[a, c]), alpha)
+    bxy, byx = B(0, 1), B(1, 0)
+    d, s, h = 0.5 * (bxy + byx), 0.5 * (bxy - byx), plane.h
+    return (ip(d, d) + 2.0 * ip(h, s) - 3.0 * ip(h, h) - ip(B(0, 0), B(1, 1))) / gram
 
 
 def rel_diff(out, ref):
@@ -607,6 +623,16 @@ class TestSectionalCurvature:
         x = stream_mode(g, (1, 0))
         with pytest.raises(DegeneratePlaneError):
             sectional_curvature(x, 1.0001 * x, AlphaParam(0.0))
+        with pytest.raises(DegeneratePlaneError):
+            CurvaturePlane(x, 1.0001 * x).K(AlphaParam(0.5))
+
+    def test_euler_plane_rejects_nonzero_alpha(self):
+        g = make_grid(32, 32)
+        plane = _EulerPlane(stream_mode(g, (1, 0)), stream_mode(g, (1, 1)))
+        with pytest.raises(ValueError, match="alpha = 0 only"):
+            plane.K(AlphaParam(0.3))
+        K_full = CurvaturePlane(plane.x, plane.y).K(AlphaParam(0.0))
+        assert plane.K(AlphaParam(0.0)) == pytest.approx(K_full, rel=1e-14)
 
     def test_scale_invariance(self):
         g = make_grid(32, 32)
@@ -686,6 +712,45 @@ class TestArnoldMatchesNestedOracle:
         assert sectional_curvature(stream_mode(g, (3, 3)), stream_mode(g, (3, -3)), AlphaParam(0.5)) < 0.0
         with pytest.raises(SupportOverflowError, match="larger grid"):
             sectional_curvature(stream_mode(g, (4, 4)), stream_mode(g, (4, -4)), AlphaParam(0.5))
+
+
+class TestWeightedSumMatchesPairings:
+    """K(alpha) as one weighted sum over modes against pairing_arnold on the same plane."""
+
+    @pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+    @pytest.mark.parametrize("seeds", [(41, 42), (51, 52), (61, 62)])
+    def test_random_planes(self, nx, ny, Lx, Ly, seeds):
+        g = make_grid(nx, ny, Lx, Ly)
+        plane = CurvaturePlane(rand_stream(g, seeds[0]), rand_stream(g, seeds[1]))
+        for a in (AlphaParam(0.0), AlphaParam(0.3), AlphaParam(1.0)):
+            assert_K_matches_oracle(plane.K(a), pairing_arnold(plane, a))
+
+    @pytest.mark.parametrize("k,l", [((1, 0), (1, 1)), ((2, 2), (2, 3))])
+    def test_sweep_alphas(self, k, l):
+        """Criterion 8's plane and alpha_sweep_flip.cfg's, at the 21 sweep alphas."""
+        g = grid_for_modes(k, l)
+        plane = CurvaturePlane(stream_mode(g, k), stream_mode(g, l))
+        for a in np.linspace(0.0, 1.0, 21):
+            assert_K_matches_oracle(plane.K(AlphaParam(a)), pairing_arnold(plane, AlphaParam(a)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        grid=st.sampled_from([(32, 32, 2 * np.pi, 2 * np.pi), (24, 40, 3.0, 7.5)]),
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        nmodes=st.integers(1, 5),
+        a_val=st.floats(0.0, 2.0),
+    )
+    def test_random_kmax3_planes(self, grid, seeds, nmodes, a_val):
+        g = make_grid(*grid)
+        plane = CurvaturePlane(*(rand_stream(g, seed, kmax=3, nmodes=nmodes) for seed in seeds))
+        a = AlphaParam(a_val)
+        try:
+            K_ref = pairing_arnold(plane, a)
+        except DegeneratePlaneError:
+            with pytest.raises(DegeneratePlaneError):
+                plane.K(a)
+            return
+        assert_K_matches_oracle(plane.K(a), K_ref)
 
 
 class TestArnoldClosedForm:
