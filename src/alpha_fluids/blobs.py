@@ -117,10 +117,10 @@ def blob_diagnostics(ens: BlobEnsemble) -> dict:
     }
 
 
-def blob_ring(n: int, radius: float, gamma_total: float, alpha: float, center=(0.0, 0.0)) -> BlobEnsemble:
-    """n equal blobs on a circle; a standard initial configuration."""
+def blob_ring(n: int, radius: float, gamma_total: float, alpha: float) -> BlobEnsemble:
+    """n equal blobs on a circle about the origin; a standard initial configuration."""
     theta = 2.0 * np.pi * np.arange(n) / n
-    pos = np.stack([center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)], axis=1)
+    pos = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
     return BlobEnsemble(pos, np.full(n, gamma_total / n), alpha)
 
 

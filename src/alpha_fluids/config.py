@@ -19,17 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-EXPERIMENTS = (
-    "simulate2d",
-    "blob",
-    "ch",
-    "curvature",
-    "visc-limit",
-    "alpha-sweep",
-    "jacobi",
-    "flowmap",
-)
-
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -101,6 +90,38 @@ def _choice(*options):
     return check
 
 
+# (section, key) -> default of every key an experiment reads; None is no default
+_RUN = {("run", "experiment"): None, ("run", "seed"): 0, ("run", "out"): None}
+_TORUS = {("grid", "nx"): 64, ("grid", "ny"): 64, ("grid", "lx"): 2.0 * math.pi, ("grid", "ly"): 2.0 * math.pi,
+          ("physics", "alpha"): 0.2, ("time", "dt"): 1e-3, ("time", "t_final"): 1.0, ("ic", "kind"): "two_mode"}
+_READS = {  # in the order the command line lists the experiments
+    "simulate2d": {**_TORUS, ("physics", "dissipation"): "inviscid", ("physics", "nu"): 0.0,
+                   ("output", "series_every"): 10, ("output", "checkpoint_every"): 0},
+    "blob": {("physics", "alpha"): 0.3, ("ic", "kind"): "blob_ring", ("time", "dt"): 1e-3, ("time", "t_final"): 10.0,
+             ("output", "series_every"): 100},
+    "ch": {("experiment", "n"): 512, ("experiment", "bc"): "dirichlet", ("time", "dt"): 1e-4, ("time", "t_final"): 1.0,
+           ("ic", "amp"): 0.1, ("ic", "k"): (1,), ("output", "series_every"): 100},
+    "curvature": {("experiment", "pairs"): 50, ("experiment", "kmax"): 4},
+    "visc-limit": {**_TORUS, ("time", "dt"): 2e-3, ("time", "t_final"): 0.5,
+                   ("experiment", "nus"): (1e-1, 1e-2, 1e-3, 1e-4), ("experiment", "variants"): "both"},
+    # 0.05 * i is np.linspace(0.0, 1.0, 21) bit for bit
+    "alpha-sweep": {("ic", "k"): (1, 0), ("experiment", "eps"): (0, 1),
+                    ("experiment", "alphas"): tuple(0.05 * i for i in range(21))},
+    "jacobi": {**_TORUS, ("time", "t_final"): 0.5, ("experiment", "epsilons"): (1e-4, 5e-5)},
+    "flowmap": {**_TORUS, ("experiment", "m"): 32, ("experiment", "t_diag"): 0.25, ("experiment", "refine"): 2,
+                ("experiment", "ladders"): "both"},
+}
+EXPERIMENTS = tuple(_READS)
+# experiment -> {each [ic] kind it takes: the [ic] keys of that kind}; _READS holds the default kind
+_TORUS_IC = {
+    "single_mode": {("ic", "k"): (1, 0), ("ic", "amp"): 1.0},
+    "two_mode": {("ic", "k1"): (1, 0), ("ic", "k2"): (2, 1), ("ic", "amps"): (0.25, 0.2), ("ic", "phases"): (0.0, 0.7)},
+    "random_seeded": {("ic", "kmax"): 4, ("ic", "spectrum_slope"): -2.0, ("ic", "amp"): 0.2},
+}
+_IC_KINDS = {**dict.fromkeys(("simulate2d", "visc-limit", "jacobi", "flowmap"), _TORUS_IC),
+             "blob": {"blob_ring": {("ic", "n_blobs"): 4, ("ic", "radius"): 1.0, ("ic", "gamma"): 1.0}}}
+
+
 # key -> (type tag, validator); type tags: int, float, str, ints (whitespace-
 # separated integers), floats
 _SCHEMA = {
@@ -125,7 +146,7 @@ _SCHEMA = {
         "t_final": ("float", _pos),
     },
     "ic": {
-        "kind": ("str", _choice("single_mode", "two_mode", "random_seeded", "blob_ring")),
+        "kind": ("str", _choice(*dict.fromkeys(k for kinds in _IC_KINDS.values() for k in kinds))),
         "k": ("ints", _any),
         "k1": ("ints", _pair()),
         "k2": ("ints", _pair()),
@@ -159,37 +180,6 @@ _SCHEMA = {
         "ladders": ("str", _choice("both", "transport", "volume")),
     },
 }
-
-# (section, key) -> default of every key an experiment reads; None is no default
-_RUN = {("run", "experiment"): None, ("run", "seed"): 0, ("run", "out"): None}
-_TORUS = {("grid", "nx"): 64, ("grid", "ny"): 64, ("grid", "lx"): 2.0 * math.pi, ("grid", "ly"): 2.0 * math.pi,
-          ("physics", "alpha"): 0.2, ("time", "dt"): 1e-3, ("time", "t_final"): 1.0, ("ic", "kind"): "two_mode"}
-_READS = {
-    "simulate2d": {**_TORUS, ("physics", "dissipation"): "inviscid", ("physics", "nu"): 0.0,
-                   ("output", "series_every"): 10, ("output", "checkpoint_every"): 0},
-    "visc-limit": {**_TORUS, ("time", "dt"): 2e-3, ("time", "t_final"): 0.5,
-                   ("experiment", "nus"): (1e-1, 1e-2, 1e-3, 1e-4), ("experiment", "variants"): "both"},
-    "jacobi": {**_TORUS, ("time", "t_final"): 0.5, ("experiment", "epsilons"): (1e-4, 5e-5)},
-    "flowmap": {**_TORUS, ("experiment", "m"): 32, ("experiment", "t_diag"): 0.25, ("experiment", "refine"): 2,
-                ("experiment", "ladders"): "both"},
-    "blob": {("physics", "alpha"): 0.3, ("ic", "kind"): "blob_ring", ("time", "dt"): 1e-3, ("time", "t_final"): 10.0,
-             ("output", "series_every"): 100},
-    "ch": {("experiment", "n"): 512, ("experiment", "bc"): "dirichlet", ("time", "dt"): 1e-4, ("time", "t_final"): 1.0,
-           ("ic", "amp"): 0.1, ("ic", "k"): (1,), ("output", "series_every"): 100},
-    "curvature": {("experiment", "pairs"): 50, ("experiment", "kmax"): 4},
-    # 0.05 * i is np.linspace(0.0, 1.0, 21) bit for bit
-    "alpha-sweep": {("ic", "k"): (1, 0), ("experiment", "eps"): (0, 1),
-                    ("experiment", "alphas"): tuple(0.05 * i for i in range(21))},
-}
-# experiment -> {each [ic] kind it takes: the [ic] keys of that kind}; _READS holds the default kind
-_TORUS_IC = {
-    "single_mode": {("ic", "k"): (1, 0), ("ic", "amp"): 1.0},
-    "two_mode": {("ic", "k1"): (1, 0), ("ic", "k2"): (2, 1), ("ic", "amps"): (0.25, 0.2), ("ic", "phases"): (0.0, 0.7)},
-    "random_seeded": {("ic", "kmax"): 4, ("ic", "spectrum_slope"): -2.0, ("ic", "amp"): 0.2},
-}
-_IC_KINDS = {**dict.fromkeys(("simulate2d", "visc-limit", "jacobi", "flowmap"), _TORUS_IC),
-             "blob": {"blob_ring": {("ic", "n_blobs"): 4, ("ic", "radius"): 1.0, ("ic", "gamma"): 1.0}}}
-
 
 def reads(experiment: str, kind: str | None = None) -> dict:
     """{(section, key): default} of every key experiment reads, with the [ic] keys of kind (None: its default)."""

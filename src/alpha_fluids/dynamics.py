@@ -259,8 +259,6 @@ def casimirs(q: SpectralField, nmax: int) -> list[float]:
         raise ValueError("nmax must be >= 1")
     g = q.grid
     mags = np.abs(q.coeffs)
-    if mags.max() == 0.0:
-        return [0.0] * nmax
     sx = int(np.abs(g.jx)[mags.max(axis=1) > 1e-300].max(initial=0))
     sy = int(np.abs(g.jy)[mags.max(axis=0) > 1e-300].max(initial=0))
     moments, shape, samples = [], None, None

@@ -68,13 +68,10 @@ def _finite_scale(mags: np.ndarray, axis=None, keepdims: bool = False) -> np.nda
     return scale
 
 
-def _clean(f: SpectralField, rel: float = 1e-13) -> SpectralField:
+def _clean(f: SpectralField) -> SpectralField:
     """Zero sub-roundoff coefficients so spectral support can be read off exactly."""
-    c = f.coeffs
-    scale = _finite_scale(np.abs(c))
-    if scale == 0.0:
-        return f
-    return SpectralField(f.grid, np.where(np.abs(c) > rel * scale, c, 0.0))
+    mags = np.abs(f.coeffs)
+    return SpectralField(f.grid, np.where(mags > 1e-13 * _finite_scale(mags), f.coeffs, 0.0))
 
 
 class _Form(NamedTuple):
@@ -280,13 +277,17 @@ class CurvaturePlane:
         a2 = alpha.alpha_sq
         if a2 != 0.0 and len(self._e) == 1:
             raise ValueError(f"this plane holds alpha = 0 only, not alpha = {alpha.alpha}")
-        xx, yy, xy = self._gram[0] + a2 * self._gram[1]
-        gram = xx * yy - xy * xy
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge alpha overflows: raise, do not warn
+            xx, yy, xy = self._gram[0] + a2 * self._gram[1]
+            gram = xx * yy - xy * xy
+            powers = a2 ** np.arange(len(self._c))  # 1, alpha^2, alpha^4
+            top = (powers @ self._c / (1.0 + a2 * self._k_sq)).sum() + self._e @ powers[: len(self._e)]
+            bottom = self.x.grid.area * gram
+        if not (np.isfinite(top) and np.isfinite(bottom)):
+            raise FloatingPointError(f"the curvature sums overflow float64 at alpha = {alpha.alpha!r}")
         if gram <= 1e-12 * xx * yy:
             raise DegeneratePlaneError("directions are numerically collinear")
-        powers = a2 ** np.arange(len(self._c))  # 1, alpha^2, alpha^4
-        top = (powers @ self._c / (1.0 + a2 * self._k_sq)).sum() + self._e @ powers[: len(self._e)]
-        return float(top / (self.x.grid.area * gram))
+        return float(top / bottom)
 
     def alpha0(self) -> float | None:
         """The alpha in (0, 1] where K changes sign (21 scan alphas, bisection to 1e-4), or None."""

@@ -10,7 +10,7 @@ import pytest
 from alpha_fluids import dynamics, runner
 from alpha_fluids.checkpoint import read_checkpoint, write_checkpoint
 from alpha_fluids.cli import main
-from alpha_fluids.config import load_config, parse_config
+from alpha_fluids.config import EXPERIMENTS, load_config, parse_config
 from alpha_fluids.dynamics import DissipationMode, run
 from alpha_fluids.geometry import DegeneratePlaneError, SupportOverflowError
 from alpha_fluids.runner import run_experiment
@@ -77,11 +77,13 @@ class TestCli:
         assert main(["simulate2d", "--config", str(cfg_path)]) == 1
         assert "alpha" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ALPHA_FLUIDS_THREADS", "not-a-number")
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(SMALL_2D)
-        assert main(["simulate2d", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    def test_help_exits_0(self):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+
+    def test_every_experiment_has_a_driver(self):
+        assert set(runner._DRIVERS) | {"visc-limit"} == set(EXPERIMENTS)
 
 
 class TestInputErrors:
@@ -91,6 +93,21 @@ class TestInputErrors:
     def assert_one_error_line(capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["bogus", "--config", "{cfg}"],
+        ["simulate2d"],
+        ["simulate2d", "--config", "{cfg}", "--seed", "abc"],
+        ["simulate2d", "--config", "{cfg}", "--threads", "q"],
+        ["simulate2d", "--config", "{cfg}", "--bogus"],
+    ], ids=["unknown experiment", "no --config", "--seed abc", "--threads q", "unknown flag"])
+    def test_usage_error(self, tmp_path, capsys, args):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_2D)
+        out = tmp_path / "o"
+        assert main([a.format(cfg=cfg_path) for a in args] + ["--out", str(out)]) == 1
+        self.assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_config_is_a_directory(self, tmp_path, capsys):
         assert main(["simulate2d", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
@@ -391,6 +408,19 @@ class TestNumericalAbort:
         manifest = read_manifest(out)
         assert manifest["status"] == "INCOMPLETE"
         assert manifest["abort_reason"] == "directions are numerically collinear"
+
+    def test_curvature_overflow_yields_incomplete_manifest_and_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(SWEEP.replace("k = 1 0", "k = 2 2").replace("alphas = 0.0 0.5", "alphas = 0.5 1e77"))
+        out = tmp_path / "sweep"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["alpha-sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        manifest = read_manifest(out)
+        assert manifest["status"] == "INCOMPLETE"
+        assert "alpha = 1e+77" in manifest["abort_reason"]
 
     def test_cfl_reaching_one_on_step_3_aborts_there(self, tmp_path, monkeypatch):
         """The guard runs every step; a CFL number the run grows into is a numerical abort."""

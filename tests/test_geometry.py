@@ -9,6 +9,7 @@ The derived oracles here are the ones that pin every convention:
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -625,6 +626,20 @@ class TestSectionalCurvature:
             sectional_curvature(x, 1.0001 * x, AlphaParam(0.0))
         with pytest.raises(DegeneratePlaneError):
             CurvaturePlane(x, 1.0001 * x).K(AlphaParam(0.5))
+
+    @pytest.mark.parametrize("alpha", [1e76, 1e77, 1e100, 1e200])
+    def test_overflow_at_huge_alpha_raises(self, alpha):
+        """Past float64 the gram or the numerator is inf or nan: an abort naming alpha, not a
+        nan K, a false collinearity or a numpy warning."""
+        g = grid_for_modes((2, 2), (2, 3))
+        plane = CurvaturePlane(stream_mode(g, (2, 2)), stream_mode(g, (2, 3)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError) as err:
+                plane.K(AlphaParam(alpha))
+            assert plane.K(AlphaParam(1e75)) > 0.0
+        assert str(err.value).endswith(f"at alpha = {alpha!r}")
+        assert [str(w.message) for w in caught] == []
 
     def test_euler_plane_rejects_nonzero_alpha(self):
         g = make_grid(32, 32)
