@@ -5,7 +5,7 @@
 The positional experiment must agree with the config's [run] experiment (a
 guard against launching the wrong file).  --threads defaults to 1.  Exit
 status: 0 success, 1 bad input (usage, config file, seed outside [0, 2^64),
-CFL) with one `error:` line on stderr, 2 numerical abort.
+--threads below 1, CFL) with one `error:` line on stderr, 2 numerical abort.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _worker_count(text: str) -> int:
+    if (n := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"worker count {n} is below 1")
+    return n
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="alpha-fluids",
@@ -34,7 +40,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a sectioned key=value config file")
     parser.add_argument("--out", default=None, help="output directory (default: [run] out, else ./runs/<experiment>)")
     parser.add_argument("--seed", type=int, default=None, help="64-bit root seed (default: [run] seed, else 0)")
-    parser.add_argument("--threads", type=int, default=1, help="worker count for sweeps")
+    parser.add_argument("--threads", type=_worker_count, default=1, help="worker count for sweeps")
 
     try:
         args = parser.parse_args(argv)

@@ -44,10 +44,10 @@ from .spectral import (
     hermitianize,
     perp_gradient_into,
     smoothing,
+    rfft_half,
     sum_modes,
     to_physical,
     to_physical_padded,
-    to_spectral_padded,
 )
 
 BLOWUP_LIMIT = 1e12
@@ -191,7 +191,7 @@ def rhs_vorticity(state: VorticityState, mode: DissipationMode) -> SpectralField
     state._cache["u_samples"] = p[:2]
     prod = np.multiply(p[2], p[0], out=p[2])  # u . grad q in place of grad q
     prod += np.multiply(p[3], p[1], out=p[3])
-    out = to_spectral_padded(g, prod)
+    out = rfft_half(g, prod)
     np.copyto(out, 0.0, where=g.drop_two_thirds)
     np.multiply(out, -1.0, out=out)
     if mode.variant != "inviscid":
@@ -350,7 +350,7 @@ def third_grade_rhs(u: SpectralField, p: ThirdGradeParams) -> SpectralField:
     if cubic:
         Ah = s[6:8] + s[6:8].swapaxes(0, 1)
         prod[5:8] = (Ah[0, 0] ** 2 + 2.0 * Ah[0, 1] ** 2 + Ah[1, 1] ** 2) * Ah[rows, cols]
-    h = to_spectral_padded(g, prod)
+    h = rfft_half(g, prod)
     # div T = (ikx T_00 + iky T_01, ikx T_01 + iky T_11); the masks drop the Nyquist modes
     out = h[:2] + 2.0 * (p.alpha1 + p.alpha2) * (g.ikx * h[2:4] + g.iky * h[3:5])
     np.copyto(out, 0.0, where=g.drop_two_thirds)

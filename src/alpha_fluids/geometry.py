@@ -1,8 +1,8 @@
 """Differential geometry of the volume-preserving diffeomorphism group at the
-identity, specialized to the flat 2D torus: the quadratic operator calU of the
-alpha metric and its polarization frakU, the covariant derivative, sectional
-curvature with the closed-form two-stream-mode anchor, the alpha sign-flip
-search, and Jacobi-field (linearized-flow) integration.
+identity, specialized to the flat 2D torus: the Levi-Civita connection and the
+sectional curvature of the alpha metric from the products of one plane, the
+closed-form two-stream-mode anchor, the alpha sign-flip search, Jacobi-field
+(linearized-flow) integration, and the quadratic operator calU of the metric.
 
 Sectional curvature is Arnold's formula (sectional_curvature),
     K (|x|^2 |y|^2 - <x,y>^2) = <d,d> + 2<h,s> - 3<h,h> - <B(x,x), B(y,y)>,
@@ -39,8 +39,8 @@ from .spectral import (
     derivative,
     gradient_into,
     norm_alpha,
+    rfft_half,
     to_physical,
-    to_spectral_padded,
 )
 
 
@@ -127,7 +127,7 @@ def _exact_product(factors: FieldStack, form: _Form) -> np.ndarray:
     out = np.tensordot(form.weights, p[a] * p[b], axes=1)
     peak = np.abs(p).max(axis=(1, 2))
     floor = 1e-13 * (form.counts @ (peak[a] * peak[b]))
-    prod = to_spectral_padded(g, out)
+    prod = rfft_half(g, out)
     return np.where(np.abs(prod) > floor[:, None, None], prod, 0.0)
 
 
@@ -137,36 +137,20 @@ def _jacobian(u: SpectralField) -> np.ndarray:
     return d.reshape((4,) + u.grid.coeff_shape)
 
 
-# advect: factors (x^0, x^1, d_x y^0, d_y y^0, d_x y^1, d_y y^1); out^i = x^m d_m y^i
-_ADVECT = _form(2, [(i, m, 2 + 2 * i + m, 1.0) for i in range(2) for m in range(2)])
+# -- the metric's quadratic operator ------------------------------------------------
 
 
-def _calU_terms(shift: int) -> list:
-    """Terms of S_ij = T_ij + delta_ij Tr(Du Du) over factors Du (entry 2i+m + shift)."""
-    D = lambda i, m: shift + 2 * i + m
-    terms = []
-    for i in range(2):
-        for j in range(2):
-            o = shift + 2 * i + j
-            # T_{ij} = sum_m (d_m u^i d_m u^j + d_m u^i d_j u^m - d_i u^m d_j u^m)
-            for m in range(2):
-                terms += [(o, D(i, m), D(j, m), 1.0), (o, D(i, m), D(m, j), 1.0), (o, D(m, i), D(m, j), -1.0)]
-            if i == j:  # Tr(Du Du) = sum_{nm} d_m u^n d_n u^m
-                terms += [(o, D(n, m), D(m, n), 1.0) for n in range(2) for m in range(2)]
+def _calU_terms() -> list:
+    """Terms of S_ij = T_ij + delta_ij Tr(Du Du) over the factors Du (entry 2i+m holds d_m u^i),
+    T_ij = sum_m (d_m u^i d_m u^j + d_m u^i d_j u^m - d_i u^m d_j u^m), Tr(Du Du) = d_m u^n d_n u^m."""
+    D = lambda i, m: 2 * i + m
+    terms = [(D(i, i), D(n, m), D(m, n), 1.0) for i, n, m in np.ndindex(2, 2, 2)]
+    for i, j, m in np.ndindex(2, 2, 2):
+        terms += [(D(i, j), D(i, m), D(j, m), 1.0), (D(i, j), D(i, m), D(m, j), 1.0), (D(i, j), D(m, i), D(m, j), -1.0)]
     return terms
 
 
-_CALU_PAIR = _form(8, _calU_terms(0) + _calU_terms(4))
-
-
-def advect(x: SpectralField, y: SpectralField) -> SpectralField:
-    """Directional derivative (x . grad) y, exact for band-limited inputs."""
-    g = x.grid
-    out = _exact_product(FieldStack(g, np.concatenate([_clean(x).coeffs, _jacobian(_clean(y))])), _ADVECT)
-    return SpectralField._adopt(g, out)
-
-
-# -- the metric's quadratic operator and its polarization --------------------------
+_CALU = _form(4, _calU_terms())
 
 
 def _smoothed_divergence(g: TorusGrid2D, S: np.ndarray, alpha: AlphaParam) -> SpectralField:
@@ -183,33 +167,8 @@ def calU(u: SpectralField, alpha: AlphaParam) -> SpectralField:
     it as div of Tr(Du Du) times the identity.  The smoothing inverse acts
     mode-wise as (1 + alpha^2 |k|^2)^{-1}.  Quadratic: calU(c u) = c^2 calU(u).
     """
-    return _frakU(u, u, alpha)
-
-
-def _frakU(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
-    """Polarization (calU(x+y) - calU(x-y)) / 4, both terms in one transform pair."""
-    g = x.grid
-    factors = np.concatenate([_jacobian(_clean(x + y)), _jacobian(_clean(x - y))])
-    S = _exact_product(FieldStack(g, factors), _CALU_PAIR)
-    return 0.25 * (_smoothed_divergence(g, S[:4], alpha) - _smoothed_divergence(g, S[4:], alpha))
-
-
-def covariant_derivative(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
-    """Levi-Civita covariant derivative of the alpha metric at the identity,
-
-        nabla~_x y = P_e[ (x . grad) y + frakU(x, y) ].
-
-    The full symmetric form frakU (whose diagonal is calU) is required: with it
-    the connection is torsion-free by construction, metric-compatible to
-    roundoff, and nabla~_u u reproduces the geodesic (momentum-form) spray
-    exactly.  At alpha = 0 this is the classical L^2 (Euler) connection
-    P_e (x . grad) y.
-    """
-    x, y = _clean(x), _clean(y)
-    inner = advect(x, y)
-    if alpha.alpha != 0.0:
-        inner = inner + _frakU(x, y, alpha)
-    return leray_project(inner)
+    g = u.grid
+    return _smoothed_divergence(g, _exact_product(FieldStack(g, _jacobian(_clean(u))), _CALU), alpha)
 
 
 def _plane_form(n: int) -> _Form:
@@ -238,7 +197,8 @@ class CurvaturePlane:
     X_ac = P N(a,c) - alpha^2 P N(a, Lap c) = -A_k B(c,a), A_k = 1 + alpha^2 |k|^2, k.X = 0 gives
     <B, B'>_alpha = S sum_k Re[X.conj(X')] / A_k and <h, B>_alpha = -S sum_k Re[h.conj(X)], so K gram
     = S sum_k (c0 + alpha^2 c1 + alpha^4 c2) / A_k + S (e0 + alpha^2 e1), over the stored half with
-    weight 1 on the columns jy = 0, ny/2 and 2 elsewhere; _EulerPlane makes the alpha^0 terms alone."""
+    weight 1 on the columns jy = 0, ny/2 and 2 elsewhere; _EulerPlane makes the alpha^0 terms alone.
+    The same products give the Levi-Civita connection nabla_x y = h + A^{-1} (X_xy + X_yx) / 2."""
 
     _fields = 4  # of x, y, Lap x, Lap y
 
@@ -301,6 +261,18 @@ class CurvaturePlane:
             lo, hi = (mid, hi) if self.K(AlphaParam(mid)) < 0.0 else (lo, mid)
         return 0.5 * (lo + hi)
 
+    def connection(self, alpha: AlphaParam) -> SpectralField:
+        """nabla_x y = [x, y] / 2 - (B(x, y) + B(y, x)) / 2 = h + _sym(alpha), for divergence-free x, y."""
+        return self.h + self._sym(alpha)
+
+    def _sym(self, alpha: AlphaParam) -> SpectralField:
+        """The connection's symmetric part, -(B(x, y) + B(y, x)) / 2 = A^{-1} (X_xy + X_yx) / 2."""
+        pn, a2 = self.pn, alpha.alpha_sq
+        if a2 != 0.0 and self._fields == 2:
+            raise ValueError(f"this plane holds alpha = 0 only, not alpha = {alpha.alpha}")
+        X = pn[0, 1] + pn[1, 0] if self._fields == 2 else (pn[0, 1] - a2 * pn[0, 3]) + (pn[1, 0] - a2 * pn[1, 2])
+        return helmholtz_inverse(SpectralField._adopt(self.x.grid, 0.5 * X), alpha)
+
 
 class _EulerPlane(CurvaturePlane):
     _fields = 2  # K at alpha = 0 only: without the Lap factors, 12 factors into 10 outputs
@@ -320,6 +292,13 @@ def sectional_curvature(x: SpectralField, y: SpectralField, alpha: AlphaParam) -
     The tests check K against <R~(x,y)y, x>_alpha / gram of nested covariant derivatives.
     """
     return (_EulerPlane if alpha.alpha == 0.0 else CurvaturePlane)(x, y).K(alpha)
+
+
+def covariant_derivative(x: SpectralField, y: SpectralField, alpha: AlphaParam) -> SpectralField:
+    """Levi-Civita connection of the alpha metric at the identity (CurvaturePlane.connection),
+    nabla~_x y = [x, y] / 2 - (B(x, y) + B(y, x)) / 2, at alpha = 0 the L^2 connection P (x . grad) y.
+    x and y must be divergence-free: [x, y] is not projected."""
+    return (_EulerPlane if alpha.alpha == 0.0 else CurvaturePlane)(x, y).connection(alpha)
 
 
 def arnold_closed_form(k: tuple[int, int], l: tuple[int, int], S: float) -> float:
@@ -399,7 +378,7 @@ def _tangent_rhs(g: TorusGrid2D, y: np.ndarray, alpha, mean_u) -> np.ndarray:
     out[1] = -((up[0] * gdq[0] + up[1] * gdq[1]) + (dup[0] * gq[0] + dup[1] * gq[1]))
     for i in range(2):
         out[2 + i] = wp[0] * gu[0][i] + wp[1] * gu[1][i] - (up[0] * gw[0][i] + up[1] * gw[1][i])
-    c = to_spectral_padded(g, out)
+    c = rfft_half(g, out)
     np.copyto(c, 0.0, where=g.drop_two_thirds)
     c[2:] += s[2:4]
     return c
@@ -421,7 +400,7 @@ def jacobi_evolve(
     with integrate.rk4.  Initial data: Y(0) = y0 and covariant velocity
     Ydot(0) = ydot0, converted to the Eulerian velocity perturbation through
 
-        delta u(0) = ydot0 - (y0 . grad) u0 + (u0 . grad) y0 - nabla~_{u0} y0.
+        delta u(0) = ydot0 + [u0, y0] - nabla~_{u0} y0 = ydot0 + h - A^{-1} (X_uy + X_yu) / 2.
 
     q(0) and delta q(0) are the q of state_from_velocity(u0, alpha) and of
     state_from_velocity(delta u(0), alpha): 2/3-dealiased, like every solver
@@ -434,8 +413,8 @@ def jacobi_evolve(
     state = state_from_velocity(u0, alpha)
     q, mean_u = state.q, state.mean_velocity
     w = dealias_two_thirds(y0)
-    du0 = ydot0 - advect(y0, u0) + advect(u0, y0) - covariant_derivative(u0, y0, alpha)
-    dq = state_from_velocity(du0, alpha).q
+    plane = (_EulerPlane if alpha.alpha == 0.0 else CurvaturePlane)(u0, y0)
+    dq = state_from_velocity(ydot0 + plane.h - plane._sym(alpha), alpha).q
 
     g = q.grid
     y = np.concatenate((q.coeffs[None], dq.coeffs[None], w.coeffs))  # (q, delta q, w^x, w^y)

@@ -230,7 +230,7 @@ def to_spectral(grid: TorusGrid2D, samples: np.ndarray) -> SpectralField:
     s = np.asarray(samples, dtype=float)
     if s.shape not in (grid.shape, (2,) + grid.shape):
         raise ValueError(f"sample shape {s.shape} does not match grid {grid.shape}")
-    return SpectralField._adopt(grid, to_spectral_padded(grid, s))
+    return SpectralField._adopt(grid, rfft_half(grid, s))
 
 
 def _symmetrize_ends(grid: TorusGrid2D, c: np.ndarray) -> np.ndarray:
@@ -240,7 +240,7 @@ def _symmetrize_ends(grid: TorusGrid2D, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def to_spectral_padded(grid: TorusGrid2D, samples: np.ndarray) -> np.ndarray:
+def rfft_half(grid: TorusGrid2D, samples: np.ndarray) -> np.ndarray:
     """rfft2 half of real samples (..., nx, ny) on grid, the columns jy = 0 and ny/2 symmetrized."""
     if samples.shape[-2:] != grid.shape:
         raise ValueError(f"sample grid {samples.shape[-2:]} does not match {grid.shape}")

@@ -99,8 +99,11 @@ class TestInputErrors:
         ["simulate2d"],
         ["simulate2d", "--config", "{cfg}", "--seed", "abc"],
         ["simulate2d", "--config", "{cfg}", "--threads", "q"],
+        ["simulate2d", "--config", "{cfg}", "--threads", "0"],
+        ["simulate2d", "--config", "{cfg}", "--threads", "-3"],
         ["simulate2d", "--config", "{cfg}", "--bogus"],
-    ], ids=["unknown experiment", "no --config", "--seed abc", "--threads q", "unknown flag"])
+    ], ids=["unknown experiment", "no --config", "--seed abc", "--threads q", "--threads 0", "--threads -3",
+            "unknown flag"])
     def test_usage_error(self, tmp_path, capsys, args):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(SMALL_2D)

@@ -1,8 +1,10 @@
-"""Geometry engine: calU/frakU, the metric connection, curvature, Jacobi fields.
+"""Geometry engine: calU, the metric connection, curvature, Jacobi fields.
 
 The derived oracles here are the ones that pin every convention:
   * the closed-form two-stream-mode curvature at alpha = 0,
   * the nested covariant-derivative curvature against Arnold's formula,
+  * the connection from the plane's products against its predecessor
+    P[(x . grad) y + frakU(x, y)], advect and the frakU polarization of calU,
   * metric compatibility of the connection (right-invariant form),
   * the geodesic spray assembled independently in momentum variables,
   * the instantaneous Jacobi identity against the linearized flow.
@@ -20,6 +22,7 @@ from test_spectral import padded_forward_transform
 
 from alpha_fluids import geometry, runner
 from alpha_fluids.cli import main
+from alpha_fluids.config import load_config
 from alpha_fluids.dynamics import state_from_velocity, velocity_from_q
 from alpha_fluids.geometry import (
     CurvaturePlane,
@@ -27,12 +30,13 @@ from alpha_fluids.geometry import (
     JacobiTrajectory,
     SupportOverflowError,
     _EulerPlane,
+    _calU_terms,
     _clean,
     _exact_product,
-    _frakU,
     _form,
+    _jacobian,
+    _smoothed_divergence,
     _tangent_rhs,
-    advect,
     arnold_closed_form,
     calU,
     covariant_derivative,
@@ -217,6 +221,49 @@ def ref_curvature_op(x, y, z, alpha):
     return cd(x, cd(y, z, alpha), alpha) - cd(y, cd(x, z, alpha), alpha) - cd(bracket, z, alpha)
 
 
+# -- the predecessor of the plane's connection: advect and the frakU polarization of calU --
+
+# advect: factors (x^0, x^1, d_x y^0, d_y y^0, d_x y^1, d_y y^1); out^i = x^m d_m y^i
+_ADVECT = _form(2, [(i, m, 2 + 2 * i + m, 1.0) for i in range(2) for m in range(2)])
+_CALU_PAIR = _form(8, _calU_terms() + [(o + 4, a + 4, b + 4, c) for o, a, b, c in _calU_terms()])
+
+
+def advect(x, y):
+    """Directional derivative (x . grad) y, exact for band-limited inputs."""
+    g = x.grid
+    out = _exact_product(FieldStack(g, np.concatenate([_clean(x).coeffs, _jacobian(_clean(y))])), _ADVECT)
+    return SpectralField._adopt(g, out)
+
+
+def frakU(x, y, alpha):
+    """Polarization (calU(x+y) - calU(x-y)) / 4, both terms in one transform pair."""
+    g = x.grid
+    factors = np.concatenate([_jacobian(_clean(x + y)), _jacobian(_clean(x - y))])
+    S = _exact_product(FieldStack(g, factors), _CALU_PAIR)
+    return 0.25 * (_smoothed_divergence(g, S[:4], alpha) - _smoothed_divergence(g, S[4:], alpha))
+
+
+def predecessor_covariant_derivative(x, y, alpha):
+    """The predecessor of covariant_derivative, nabla~_x y = P[(x . grad) y + frakU(x, y)]: with the
+    full symmetric form frakU (whose diagonal is calU) it is torsion-free by construction."""
+    x, y = _clean(x), _clean(y)
+    inner = advect(x, y)
+    if alpha.alpha != 0.0:
+        inner = inner + frakU(x, y, alpha)
+    return leray_project(inner)
+
+
+def plane_du0(u0, y0, ydot0, alpha):
+    """jacobi_evolve's delta u(0) = ydot0 + h - A^{-1} (X_uy + X_yu) / 2, from the plane of u0, y0."""
+    plane = (_EulerPlane if alpha.alpha == 0.0 else CurvaturePlane)(u0, y0)
+    return ydot0 + plane.h - plane._sym(alpha)
+
+
+def predecessor_du0(u0, y0, ydot0, alpha):
+    """delta u(0) = ydot0 - (y0 . grad) u0 + (u0 . grad) y0 - nabla~_{u0} y0 by the predecessor."""
+    return ydot0 - advect(y0, u0) + advect(u0, y0) - predecessor_covariant_derivative(u0, y0, alpha)
+
+
 # -- the nested curvature assembly: the predecessor of Arnold's formula, kept as its oracle --
 
 
@@ -239,7 +286,7 @@ def curvature_op(x, y, z, alpha):
     two sign conventions.  Trilinear and antisymmetric in (x, y).
     """
     x, y, z = _clean(x), _clean(y), _clean(z)
-    cd = covariant_derivative
+    cd = predecessor_covariant_derivative
     return cd(x, cd(y, z, alpha), alpha) - cd(y, cd(x, z, alpha), alpha) - cd(lie_bracket(x, y), z, alpha)
 
 
@@ -288,7 +335,7 @@ class TestBatchedProductsMatchPredecessor:
         x, y, z = rand_stream(g, 41), rand_stream(g, 42), rand_stream(g, 43)
         assert rel_diff(advect(x, y), ref_advect(x, y)) <= 1e-13
         assert rel_diff(calU(x, a), ref_calU(x, a)) <= 1e-13
-        assert rel_diff(_frakU(x, y, a), ref_frakU(x, y, a)) <= 1e-13
+        assert rel_diff(frakU(x, y, a), ref_frakU(x, y, a)) <= 1e-13
         assert rel_diff(covariant_derivative(x, y, a), ref_covariant_derivative(x, y, a)) <= 1e-13
         assert rel_diff(curvature_op(x, y, z, a), ref_curvature_op(x, y, z, a)) <= 1e-13
 
@@ -456,16 +503,16 @@ class TestFrakU:
     def test_zero_argument(self):
         g = make_grid(16, 16)
         u = stream_mode(g, (1, 0))
-        out = _frakU(u, zero_field(g, "vector"), AlphaParam(0.8))
+        out = frakU(u, zero_field(g, "vector"), AlphaParam(0.8))
         assert np.abs(out.coeffs).max() < 1e-14
 
     def test_bilinearity_and_symmetry(self):
         g = make_grid(32, 32)
         a = AlphaParam(0.5)
         x, y = rand_stream(g, 3), rand_stream(g, 4)
-        scale = max(np.abs(_frakU(x, y, a).coeffs).max(), 1.0)
-        d1 = _frakU(2.5 * x, y, a) - 2.5 * _frakU(x, y, a)
-        d2 = _frakU(x, y, a) - _frakU(y, x, a)
+        scale = max(np.abs(frakU(x, y, a).coeffs).max(), 1.0)
+        d1 = frakU(2.5 * x, y, a) - 2.5 * frakU(x, y, a)
+        d2 = frakU(x, y, a) - frakU(y, x, a)
         assert np.abs(d1.coeffs).max() < 1e-11 * scale
         assert np.abs(d2.coeffs).max() < 1e-11 * scale
 
@@ -523,6 +570,46 @@ class TestCovariantDerivative:
         momentum = leray_project(helmholtz_inverse(adv_m - a.alpha_sq * gtf, a))
         cduu = covariant_derivative(u, u, a)
         assert np.abs((cduu - momentum).coeffs).max() < 1e-12 * max(1.0, np.abs(cduu.coeffs).max())
+
+
+class TestConnectionFromThePlane:
+    """CurvaturePlane.connection and jacobi_evolve's delta u(0) against the advect and frakU route."""
+
+    @pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
+    @pytest.mark.parametrize("a_val", [0.0, 0.3, 0.9])
+    def test_matches_predecessor_and_ref(self, nx, ny, Lx, Ly, a_val):
+        g = make_grid(nx, ny, Lx, Ly)
+        a = AlphaParam(a_val)
+        for seeds in ((61, 62), (63, 64)):
+            x, y = (rand_stream(g, s) for s in seeds)
+            out = covariant_derivative(x, y, a)
+            assert rel_diff(out, predecessor_covariant_derivative(x, y, a)) <= 1e-13
+            assert rel_diff(out, ref_covariant_derivative(x, y, a)) <= 1e-13
+
+    def test_euler_plane_connection_rejects_nonzero_alpha(self):
+        g = make_grid(32, 32)
+        plane = _EulerPlane(stream_mode(g, (1, 0)), stream_mode(g, (1, 1)))
+        with pytest.raises(ValueError, match="alpha = 0 only"):
+            plane.connection(AlphaParam(0.3))
+
+    @pytest.mark.parametrize("a_val", [0.0, 0.2, 0.9])
+    def test_initial_condition_bitwise_on_the_runner_calls(self, a_val):
+        """The jacobi driver's two calls: y0 = 0 with the shipped u0 and perturbation, and the steady
+        shear u0 = y0 = stream_mode(g, (0, 1)) with ydot0 = 0."""
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "jacobi.cfg"))
+        g = runner._grid_from(cfg)
+        a = AlphaParam(a_val)
+        u0, zero, shear = runner.initial_velocity(cfg, g, 0), zero_field(g, "vector"), stream_mode(g, (0, 1))
+        for args in ((u0, zero, stream_mode(g, (1, 1))), (shear, shear, zero)):
+            assert_same_bits(plane_du0(*args, a).coeffs, predecessor_du0(*args, a).coeffs)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "x".join(map(str, s[:2])))
+    @pytest.mark.parametrize("a_val", [0.0, 0.2, 0.9])
+    def test_initial_condition_on_random_fields(self, shape, a_val):
+        g = make_grid(*shape)
+        a = AlphaParam(a_val)
+        u0, y0, ydot0 = rand_stream(g, 71), rand_stream(g, 72), rand_stream(g, 73)
+        assert rel_diff(plane_du0(u0, y0, ydot0, a), predecessor_du0(u0, y0, ydot0, a)) <= 1e-13
 
 
 class TestCurvatureOp:
@@ -916,12 +1003,12 @@ def predecessor_tangent_rhs(q, dq, w, alpha, mean_u):
 
 def predecessor_jacobi_evolve(u0, y0, ydot0, T, dt, alpha):
     """jacobi_evolve with the hand-written RK4 stage sums over (q, delta q, w), on the
-    field-by-field right-hand side and inversion."""
+    field-by-field right-hand side and inversion; delta u(0) is jacobi_evolve's own (plane_du0),
+    which TestConnectionFromThePlane checks against the predecessor's."""
     state = state_from_velocity(u0, alpha)
     q, mean_u = state.q, state.mean_velocity
     w = dealias_two_thirds(y0)
-    du0 = ydot0 - advect(y0, u0) + advect(u0, y0) - covariant_derivative(u0, y0, alpha)
-    dq = state_from_velocity(du0, alpha).q
+    dq = state_from_velocity(plane_du0(u0, y0, ydot0, alpha), alpha).q
 
     n_steps = max(1, round(T / dt))
     times = [0.0]

@@ -25,10 +25,10 @@ from alpha_fluids.spectral import (
     make_grid,
     mode,
     norm_alpha,
+    rfft_half,
     to_physical,
     to_physical_padded,
     to_spectral,
-    to_spectral_padded,
     zero_field,
     _symmetrize_ends,
 )
@@ -257,7 +257,7 @@ def band_limited(grid, seed=0, rank="scalar"):
 
 
 def padded_forward_transform(grid, samples):
-    """The predecessor of to_spectral_padded, which also took samples (..., mx, my)
+    """The predecessor of rfft_half, which also took samples (..., mx, my)
     on a finer grid, mx >= nx, my >= ny: the rfft2 half's rows jx and columns
     0 <= jy <= ny/2 of their transform, with the columns jy = 0 and ny/2
     symmetrized.  On a padded axis column ny/2 holds the mean of modes +-ny/2
@@ -272,7 +272,7 @@ def padded_forward_transform(grid, samples):
 def test_forward_matches_padded_oracle_on_its_own_grid(nx, ny, Lx, Ly):
     g = make_grid(nx, ny, Lx, Ly)
     samples = np.random.default_rng(nx).standard_normal((3,) + g.shape)
-    assert np.array_equal(to_spectral_padded(g, samples), padded_forward_transform(g, samples))
+    assert np.array_equal(rfft_half(g, samples), padded_forward_transform(g, samples))
 
 
 @pytest.mark.parametrize("nx,ny,Lx,Ly", ORACLE_GRIDS)
@@ -304,12 +304,12 @@ def test_padded_forward_matches_complex_band(nx, ny, Lx, Ly):
 
 def test_padded_forward_rejects_smaller_grid():
     with pytest.raises(ValueError):
-        to_spectral_padded(make_grid(16, 16), np.zeros((16, 8)))
+        rfft_half(make_grid(16, 16), np.zeros((16, 8)))
 
 
 def test_forward_rejects_finer_grid():
     with pytest.raises(ValueError):
-        to_spectral_padded(make_grid(16, 16), np.zeros((32, 32)))
+        rfft_half(make_grid(16, 16), np.zeros((32, 32)))
 
 
 # -- properties on random fields ------------------------------------------------------
