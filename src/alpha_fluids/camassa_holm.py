@@ -40,6 +40,9 @@ class MonotonicityError(RuntimeError):
             "diffeomorphism group (possible breakdown)"
         )
 
+    def __reduce__(self):  # the default rebuilds from args = (message,), read by __init__ as the time
+        return type(self), (self.t,)
+
 
 @dataclass(frozen=True)
 class CHState:

@@ -3,9 +3,11 @@
     alpha-fluids <experiment> --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
 
 The positional experiment must agree with the config's [run] experiment (a
-guard against launching the wrong file).  --threads defaults to 1.  Exit
-status: 0 success, 1 bad input (usage, config file, seed outside [0, 2^64),
---threads below 1, CFL) with one `error:` line on stderr, 2 numerical abort.
+guard against launching the wrong file).  --threads (default 1) is the number of
+worker processes for an experiment's independent runs (runner._legs); the data
+artifacts do not depend on it.  Exit status: 0 success, 1 bad input (usage,
+config file, seed outside [0, 2^64), --threads below 1, CFL) with one `error:`
+line on stderr, 2 numerical abort.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a sectioned key=value config file")
     parser.add_argument("--out", default=None, help="output directory (default: [run] out, else ./runs/<experiment>)")
     parser.add_argument("--seed", type=int, default=None, help="64-bit root seed (default: [run] seed, else 0)")
-    parser.add_argument("--threads", type=_worker_count, default=1, help="worker count for sweeps")
+    parser.add_argument("--threads", type=_worker_count, default=1, help="worker processes for independent runs")
 
     try:
         args = parser.parse_args(argv)

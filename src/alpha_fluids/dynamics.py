@@ -61,6 +61,9 @@ class BlowUpError(RuntimeError):
         self.t_last_good = t_last_good
         super().__init__(message or f"blow-up detected; last good time t={t_last_good:g}")
 
+    def __reduce__(self):  # the default rebuilds from args = (message,), read by __init__ as the time
+        return type(self), (self.t_last_good, str(self))
+
 
 @dataclass(frozen=True)
 class DissipationMode:

@@ -5,8 +5,8 @@ output directory, one or more CSV time series / summary tables plus a flat
 key=value manifest (config echo, config hash, code version, wall time, final
 diagnostics, completion status).  Numeric CSV cells carry 17 significant
 digits so a generic reader recovers the values exactly.  Data artifacts are
-byte-identical across reruns of the same (config, seed) in single-threaded
-mode; the manifest additionally records wall time, which is exempt.
+byte-identical across reruns of the same (config, seed) for any thread count
+(_legs); the manifest additionally records wall time, which is exempt.
 
 Exit status contract: 0 success; 1 bad input (a ValueError such as a CFL
 violation by the initial state, or an output directory or artifact that cannot
@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -196,7 +197,7 @@ def initial_state(cfg: RunConfig, grid: TorusGrid2D, alpha: AlphaParam, seed: in
 # -- experiment drivers ----------------------------------------------------------------
 
 
-def _exp_simulate2d(cfg: RunConfig, outdir: str, seed: int) -> dict:
+def _exp_simulate2d(cfg: RunConfig, outdir: str, seed: int, threads: int) -> dict:
     grid = _grid_from(cfg)
     alpha = AlphaParam(cfg.get("physics", "alpha"))
     mode = DissipationMode(cfg.get("physics", "dissipation"), cfg.get("physics", "nu"))
@@ -238,7 +239,7 @@ _SERIES2D_HEADER = [
 ]
 
 
-def _exp_blob(cfg: RunConfig, outdir: str, seed: int) -> dict:
+def _exp_blob(cfg: RunConfig, outdir: str, seed: int, threads: int) -> dict:
     alpha = cfg.get("physics", "alpha")
     n = cfg.get("ic", "n_blobs")
     radius = cfg.get("ic", "radius")
@@ -279,7 +280,7 @@ def _exp_blob(cfg: RunConfig, outdir: str, seed: int) -> dict:
     }
 
 
-def _exp_ch(cfg: RunConfig, outdir: str, seed: int) -> dict:
+def _exp_ch(cfg: RunConfig, outdir: str, seed: int, threads: int) -> dict:
     n = cfg.get("experiment", "n")
     bc = cfg.get("experiment", "bc")
     dt = cfg.get("time", "dt")
@@ -287,27 +288,33 @@ def _exp_ch(cfg: RunConfig, outdir: str, seed: int) -> dict:
     amp = cfg.get("ic", "amp")
     (m,) = cfg.get("ic", "k")
     every = cfg.get("output", "series_every")
-    diag: dict = {}
-    for this_bc in ("dirichlet", "periodic") if bc == "both" else (bc,):
+    bcs = ("dirichlet", "periodic") if bc == "both" else (bc,)
+    legs = []
+    for this_bc in bcs:
         if this_bc == "dirichlet":
             x = np.arange(1, n + 1) / (n + 1)
             state = CHState(amp * np.sin(m * math.pi * x), "dirichlet")
         else:
             x = np.arange(n) * (2.0 * math.pi / n)
             state = CHState(amp * np.sin(m * x), "periodic")
-        _, rows = _record_series(
-            os.path.join(outdir, f"series_{this_bc}.csv"), _CH_HEADER, every, state,
-            lambda n, s: (s.t, ch_energy(s), float(np.abs(s.u).max())),
-            lambda s, on_step: run_ch(s, dt, T, on_step),
-        )
-        diag[f"energy_drift_rel_{this_bc}"] = _drift_rel(rows[0][1], rows[-1][1], rows[0][1])
-    return diag
+        legs.append(partial(_ch_run, state, dt, T, every, os.path.join(outdir, f"series_{this_bc}.csv")))
+    return {f"energy_drift_rel_{b}": drift for b, drift in zip(bcs, _legs(legs, threads))}
+
+
+def _ch_run(state: CHState, dt: float, T: float, every: int, path: str) -> float:
+    """Leg: integrate one boundary condition, write its series to path; the energy drift."""
+    _, rows = _record_series(
+        path, _CH_HEADER, every, state,
+        lambda n, s: (s.t, ch_energy(s), float(np.abs(s.u).max())),
+        lambda s, on_step: run_ch(s, dt, T, on_step),
+    )
+    return _drift_rel(rows[0][1], rows[-1][1], rows[0][1])
 
 
 _CH_HEADER = ["t_time", "energy_h1", "sup_norm"]
 
 
-def _exp_curvature(cfg: RunConfig, outdir: str, seed: int) -> dict:
+def _exp_curvature(cfg: RunConfig, outdir: str, seed: int, threads: int) -> dict:
     n_pairs = cfg.get("experiment", "pairs")
     kmax = cfg.get("experiment", "kmax")
     alpha0 = AlphaParam(0.0)
@@ -353,31 +360,19 @@ def _exp_curvature(cfg: RunConfig, outdir: str, seed: int) -> dict:
     }
 
 
-def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int = 1) -> dict:
+def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int) -> dict:
     nus = cfg.get("experiment", "nus")
     variants = cfg.get("experiment", "variants")
     variant_list = ("viscous", "strong") if variants == "both" else (variants,)
 
     tasks = [("inviscid", 0.0)] + [(v, nu) for v in variant_list for nu in nus]
-    args = [(cfg, seed, v, nu) for (v, nu) in tasks]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(args))) as pool:
-            results = list(pool.map(_viscosity_run, args))
-    else:
-        results = [_viscosity_run(a) for a in args]
-    by_key = {(v, nu): coeffs for (v, nu), coeffs in zip(tasks, results)}
-    u0_ref = by_key[("inviscid", 0.0)]
+    u0_ref, *finals = _legs([partial(_viscosity_run, cfg, seed, v, nu) for v, nu in tasks], threads)
 
     grid = _grid_from(cfg)
-    rows = []
+    rows = [(v, nu, norm_hs(SpectralField(grid, c - u0_ref), 1.0)) for (v, nu), c in zip(tasks[1:], finals)]
     diag: dict = {}
     for v in variant_list:
-        errors = []
-        for nu in nus:
-            diff = SpectralField(grid, by_key[(v, nu)] - u0_ref)
-            err = norm_hs(diff, 1.0)
-            errors.append(err)
-            rows.append((v, nu, err))
+        errors = [err for w, _, err in rows if w == v]
         slope = float(np.polyfit(np.log(np.asarray(nus)), np.log(np.asarray(errors)), 1)[0])
         diag[f"slope_{v}"] = slope
         diag[f"monotone_{v}"] = bool(np.all(np.diff(errors) < 0.0)) if nus[0] > nus[-1] else bool(
@@ -387,16 +382,15 @@ def _exp_visc_limit(cfg: RunConfig, outdir: str, seed: int, threads: int = 1) ->
     return diag
 
 
-def _viscosity_run(args) -> np.ndarray:
-    """Worker: integrate one (variant, nu) leg and return final velocity coefficients."""
-    cfg, seed, variant, nu = args
+def _viscosity_run(cfg: RunConfig, seed: int, variant: str, nu: float) -> np.ndarray:
+    """Leg: integrate one (variant, nu) run; the final velocity coefficients."""
     alpha = AlphaParam(cfg.get("physics", "alpha"))
     state = initial_state(cfg, _grid_from(cfg), alpha, seed)
     state = run(state, cfg.get("time", "dt"), cfg.get("time", "t_final"), DissipationMode(variant, nu))
     return state.velocity().coeffs
 
 
-def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int) -> dict:
+def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int, threads: int) -> dict:
     k = cfg.get("ic", "k")
     eps = cfg.get("experiment", "eps")
     alphas = cfg.get("experiment", "alphas")
@@ -416,7 +410,7 @@ def _exp_alpha_sweep(cfg: RunConfig, outdir: str, seed: int) -> dict:
     return diag
 
 
-def _exp_jacobi(cfg: RunConfig, outdir: str, seed: int) -> dict:
+def _exp_jacobi(cfg: RunConfig, outdir: str, seed: int, threads: int) -> dict:
     grid = _grid_from(cfg)
     alpha = AlphaParam(cfg.get("physics", "alpha"))
     dt = cfg.get("time", "dt")
@@ -426,38 +420,41 @@ def _exp_jacobi(cfg: RunConfig, outdir: str, seed: int) -> dict:
     u0 = initial_velocity(cfg, grid, seed)
     pert = stream_mode(grid, (1, 1), 1.0)
     zero = SpectralField(grid, np.zeros_like(u0.coeffs))
-    traj = jacobi_evolve(u0, zero, pert, T, dt, alpha)
-    write_csv(
-        os.path.join(outdir, "norms.csv"),
-        ["t_time", "jacobi_norm_alpha", "delta_u_norm_alpha"],
-        zip(traj.times, traj.y_norms, traj.du_norms),
-    )
+    us = stream_mode(grid, (0, 1), 1.0)  # a steady single-mode geodesic
+    du_final, steady_drift, base, *ends = _legs([
+        partial(_jacobi_tangent, u0, zero, pert, T, dt, alpha, os.path.join(outdir, "norms.csv")),
+        partial(_jacobi_steady, us, zero, min(T, 0.25), dt, alpha),
+        partial(_endpoint, u0, dt, T, alpha),
+        *(partial(_endpoint, u0 + eps * pert, dt, T, alpha) for eps in epsilons),
+    ], threads)
 
-    def endpoint(u: SpectralField) -> SpectralField:
-        return run(state_from_velocity(u, alpha), dt, T, DissipationMode.inviscid()).velocity()
-
-    base = endpoint(u0)
-    rows = []
-    errors = []
-    for eps in epsilons:
-        pert_end = endpoint(u0 + eps * pert)
-        fd = SpectralField(grid, (pert_end.coeffs - base.coeffs) / eps)
-        err = norm_alpha(fd - traj.delta_u_final, alpha)
-        errors.append(err)
-        rows.append((eps, err))
+    delta_u_final = SpectralField(grid, du_final)
+    fds = [SpectralField(grid, (end - base) / eps) for eps, end in zip(epsilons, ends)]
+    rows = [(eps, norm_alpha(fd - delta_u_final, alpha)) for eps, fd in zip(epsilons, fds)]
     write_csv(os.path.join(outdir, "fd_check.csv"), ["epsilon", "fd_vs_linearized_error"], rows)
-    diag = {"fd_error_ratio": errors[0] / errors[1]}
-
-    # steady tangential field: norm constancy along a steady single-mode geodesic
-    us = stream_mode(grid, (0, 1), 1.0)
-    steady = jacobi_evolve(us, us, zero, min(T, 0.25), dt, alpha)
-    diag["steady_tangent_drift_rel"] = float(
-        np.abs(steady.y_norms - steady.y_norms[0]).max() / steady.y_norms[0]
-    )
-    return diag
+    return {"fd_error_ratio": rows[0][1] / rows[1][1], "steady_tangent_drift_rel": steady_drift}
 
 
-def _exp_flowmap(cfg: RunConfig, outdir: str, seed: int) -> dict:
+def _jacobi_tangent(u0, y0, ydot0, T: float, dt: float, alpha: AlphaParam, path: str) -> np.ndarray:
+    """Leg: the Jacobi field along the geodesic from u0, its norms written to path; the final delta u."""
+    traj = jacobi_evolve(u0, y0, ydot0, T, dt, alpha)
+    header = ["t_time", "jacobi_norm_alpha", "delta_u_norm_alpha"]
+    write_csv(path, header, zip(traj.times, traj.y_norms, traj.du_norms))
+    return traj.delta_u_final.coeffs
+
+
+def _jacobi_steady(us, zero, T: float, dt: float, alpha: AlphaParam) -> float:
+    """Leg: the relative drift of the tangent norm along the steady geodesic from us."""
+    steady = jacobi_evolve(us, us, zero, T, dt, alpha)
+    return float(np.abs(steady.y_norms - steady.y_norms[0]).max() / steady.y_norms[0])
+
+
+def _endpoint(u0, dt: float, T: float, alpha: AlphaParam) -> np.ndarray:
+    """Leg: the velocity coefficients at T of the inviscid run from u0."""
+    return run(state_from_velocity(u0, alpha), dt, T, DissipationMode.inviscid()).velocity().coeffs
+
+
+def _exp_flowmap(cfg: RunConfig, outdir: str, seed: int, threads: int) -> dict:
     grid = _grid_from(cfg)
     alpha = AlphaParam(cfg.get("physics", "alpha"))
     dt = cfg.get("time", "dt")
@@ -468,31 +465,30 @@ def _exp_flowmap(cfg: RunConfig, outdir: str, seed: int) -> dict:
     ladders = cfg.get("experiment", "ladders")
 
     state0 = initial_state(cfg, grid, alpha, seed)
-    state, fmap = co_advect(state0, DissipationMode.inviscid(), dt, T, make_lattice(grid, m))
-    diag = {
-        "transport_error_final": transport_check(state0.q, state.q, fmap),
-        "volume_error_final": volume_check(fmap),
-    }
-
+    legs = [partial(_flowmap_run, state0, dt, T, m, ("transport", "volume"))]
+    columns = {}  # ladder -> (the name of its first CSV column, its value on each rung)
+    rungs = range(refine + 1)
     if ladders in ("both", "transport"):
-        t_rows = []
-        for i in range(refine + 1):
-            dti = dt / 2**i
-            s, f = co_advect(state0, DissipationMode.inviscid(), dti, t_diag, make_lattice(grid, m))
-            t_rows.append((dti, transport_check(state0.q, s.q, f)))
-        write_csv(os.path.join(outdir, "transport.csv"), ["dt_step", "transport_error"], t_rows)
-        diag["transport_improvement"] = t_rows[0][1] / max(t_rows[-1][1], 1e-300)
-
+        columns["transport"] = ("dt_step", [dt / 2**i for i in rungs])
+        legs += [partial(_flowmap_run, state0, dt / 2**i, t_diag, m, ("transport",)) for i in rungs]
     if ladders in ("both", "volume"):
-        v_rows = []
-        for i in range(refine + 1):
-            mi = m * 2**i
-            s, f = co_advect(state0, DissipationMode.inviscid(), dt, t_diag, make_lattice(grid, mi))
-            v_rows.append((mi, volume_check(f)))
-        write_csv(os.path.join(outdir, "volume.csv"), ["lattice_m", "volume_error"], v_rows)
-        diag["volume_improvement"] = v_rows[0][1] / max(v_rows[-1][1], 1e-300)
+        columns["volume"] = ("lattice_m", [m * 2**i for i in rungs])
+        legs += [partial(_flowmap_run, state0, dt, t_diag, m * 2**i, ("volume",)) for i in rungs]
+    (transport, volume), *errors = _legs(legs, threads)
 
+    diag = {"transport_error_final": transport, "volume_error_final": volume}
+    for ladder, (name, xs) in columns.items():
+        rows = [(x, err) for x, (err,) in zip(xs, errors)]
+        errors = errors[len(rows):]
+        write_csv(os.path.join(outdir, f"{ladder}.csv"), [name, f"{ladder}_error"], rows)
+        diag[f"{ladder}_improvement"] = rows[0][1] / max(rows[-1][1], 1e-300)
     return diag
+
+
+def _flowmap_run(state0: VorticityState, dt: float, T: float, m: int, checks: tuple) -> list:
+    """Leg: co-advect an m x m lattice from state0 to T; the named checks ("transport", "volume")."""
+    state, fmap = co_advect(state0, DissipationMode.inviscid(), dt, T, make_lattice(state0.grid, m))
+    return [transport_check(state0.q, state.q, fmap) if c == "transport" else volume_check(fmap) for c in checks]
 
 
 _DRIVERS = {
@@ -500,6 +496,7 @@ _DRIVERS = {
     "blob": _exp_blob,
     "ch": _exp_ch,
     "curvature": _exp_curvature,
+    "visc-limit": _exp_visc_limit,
     "alpha-sweep": _exp_alpha_sweep,
     "jacobi": _exp_jacobi,
     "flowmap": _exp_flowmap,
@@ -518,6 +515,22 @@ def _retain_freed_memory() -> None:
         libc.mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
 
 
+def _legs(calls: list, threads: int) -> list:
+    """The results of calls, picklable zero-argument callables, in call order: run
+    here if threads is 1 or there is one call, else in min(threads, len(calls))
+    worker processes, which set _retain_freed_memory themselves (spawn and
+    forkserver inherit nothing).  The first call to raise, in call order, raises
+    here; a call not yet started then never starts."""
+    if threads == 1 or len(calls) == 1:
+        return [call() for call in calls]
+    pool = ProcessPoolExecutor(min(threads, len(calls)), initializer=_retain_freed_memory)
+    try:
+        futures = [pool.submit(call) for call in calls]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(cfg: RunConfig, outdir: str, seed: int = 0, threads: int = 1) -> int:
     """Run one experiment; artifacts land in outdir.  Returns the exit status."""
     _retain_freed_memory()
@@ -529,13 +542,10 @@ def run_experiment(cfg: RunConfig, outdir: str, seed: int = 0, threads: int = 1)
     t0 = time.monotonic()
     try:
         try:
-            if cfg.experiment == "visc-limit":
-                diag = _exp_visc_limit(cfg, outdir, seed, threads)
-            else:
-                driver = _DRIVERS.get(cfg.experiment)
-                if driver is None:
-                    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-                diag = driver(cfg, outdir, seed)
+            driver = _DRIVERS.get(cfg.experiment)
+            if driver is None:
+                raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+            diag = driver(cfg, outdir, seed, threads)
         except _ABORTS as e:  # caught before ValueError, which DegeneratePlaneError is
             t_last = getattr(e, "t_last_good", getattr(e, "t", float("nan")))
             write_manifest(outdir, cfg, "INCOMPLETE", time.monotonic() - t0, {"abort_reason": str(e), "t_last_good": t_last})

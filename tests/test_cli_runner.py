@@ -1,17 +1,20 @@
 """CLI and experiment orchestration: exit codes, determinism, restartability."""
 
+import concurrent.futures
 import math
 import os
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
 from alpha_fluids import dynamics, runner
+from alpha_fluids.camassa_holm import MonotonicityError
 from alpha_fluids.checkpoint import read_checkpoint, write_checkpoint
 from alpha_fluids.cli import main
-from alpha_fluids.config import EXPERIMENTS, load_config, parse_config
-from alpha_fluids.dynamics import DissipationMode, run
+from alpha_fluids.config import EXPERIMENTS, ConfigError, load_config, parse_config
+from alpha_fluids.dynamics import BlowUpError, DissipationMode, run
 from alpha_fluids.geometry import DegeneratePlaneError, SupportOverflowError
 from alpha_fluids.runner import run_experiment
 from alpha_fluids.spectral import AlphaParam
@@ -83,7 +86,7 @@ class TestCli:
         assert exit_.value.code == 0
 
     def test_every_experiment_has_a_driver(self):
-        assert set(runner._DRIVERS) | {"visc-limit"} == set(EXPERIMENTS)
+        assert set(runner._DRIVERS) == set(EXPERIMENTS)
 
 
 class TestInputErrors:
@@ -611,6 +614,72 @@ variants = viscous
 """
 
 
+# a small run of every experiment built from independent legs, with its leg count
+LEG_RUNS = {
+    "visc-limit": (VISC_32, 3),  # the inviscid leg and two viscosities of one variant
+    "flowmap": ("""
+[run]
+experiment = flowmap
+[grid]
+nx = 16
+ny = 16
+[time]
+dt = 0.01
+t_final = 0.02
+[experiment]
+m = 8
+t_diag = 0.01
+refine = 1
+ladders = both
+""", 5),  # the main run and two rungs of each ladder
+    "ch": ("""
+[run]
+experiment = ch
+[experiment]
+n = 32
+bc = both
+[time]
+dt = 1e-3
+t_final = 0.01
+""", 2),  # one leg per boundary condition
+    "jacobi": ("""
+[run]
+experiment = jacobi
+[grid]
+nx = 16
+ny = 16
+[time]
+dt = 0.01
+t_final = 0.02
+[experiment]
+epsilons = 1e-4 5e-5 2.5e-5
+""", 6),  # the tangent, steady and base runs and one endpoint per epsilon
+}
+
+# the 16x16 visc-limit run that grows past CFL 1 in its first strong-dissipation leg
+VISC_ABORT = """
+[run]
+experiment = visc-limit
+[grid]
+nx = 16
+ny = 16
+[physics]
+alpha = 0.2
+[time]
+dt = 0.01
+t_final = 0.5
+[ic]
+kind = two_mode
+k1 = 1 0
+k2 = 2 1
+amps = 0.25 0.2
+phases = 0.0 0.7
+[experiment]
+nus = 100 10
+variants = both
+"""
+
+
 class TestSweepParallelism:
     def test_visc_limit_threads_agree(self, tmp_path):
         cfg = parse_config(VISC_32)
@@ -619,26 +688,77 @@ class TestSweepParallelism:
         assert run_experiment(cfg, str(out2), seed=0, threads=2) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
-    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("experiment", sorted(LEG_RUNS))
+    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch, experiment):
         """A fork pool starts all its workers up front, so --threads must not size it alone."""
         sizes = []
 
         class InProcessPool:  # records the size asked for and starts no process
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is runner._retain_freed_memory
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, call):
+                done = concurrent.futures.Future()
+                done.set_result(call())
+                return done
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return map(fn, args)
+            def shutdown(self, cancel_futures):
+                pass
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
-        assert run_experiment(parse_config(VISC_32), str(tmp_path), seed=0, threads=100000) == 0
-        assert sizes == [3]  # the inviscid leg and two viscosities of one variant
+        text, n_legs = LEG_RUNS[experiment]
+        assert run_experiment(parse_config(text), str(tmp_path), seed=0, threads=100000) == 0
+        assert sizes == [n_legs]
+
+    @pytest.mark.parametrize("experiment", sorted(LEG_RUNS))
+    def test_legs_and_their_results_pickle(self, tmp_path, monkeypatch, experiment):
+        """What a spawn or forkserver worker needs: every call, and what it returns,
+        crosses the process boundary, and the run writes the same artifacts."""
+        text, _ = LEG_RUNS[experiment]
+        here, crossed = tmp_path / "here", tmp_path / "crossed"
+        assert run_experiment(parse_config(text), str(here), seed=0) == 0
+
+        def crossing(calls, threads):
+            results = [pickle.loads(pickle.dumps(call))() for call in calls]
+            return [pickle.loads(pickle.dumps(result)) for result in results]
+
+        monkeypatch.setattr(runner, "_legs", crossing)
+        assert run_experiment(parse_config(text), str(crossed), seed=0) == 0
+        for f in sorted(here.iterdir()):
+            if f.name != "manifest.txt":
+                assert (crossed / f.name).read_bytes() == f.read_bytes(), f.name
+
+    @pytest.mark.filterwarnings("ignore:CFL number:UserWarning")  # the run's CFL number grows before it aborts
+    def test_abort_in_a_worker_reaches_the_manifest(self, tmp_path, capfd):
+        """Exit 2 and the same INCOMPLETE manifest for one worker or two, and no traceback."""
+        cfg_path = tmp_path / "abort.cfg"
+        cfg_path.write_text(VISC_ABORT)
+        manifests = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            assert main(["visc-limit", "--config", str(cfg_path), "--out", str(out), "--threads", str(threads)]) == 2
+            assert "Traceback" not in capfd.readouterr().err
+            manifests.append(read_manifest(out))
+        assert manifests[0]["status"] == manifests[1]["status"] == "INCOMPLETE"
+        assert manifests[0]["abort_reason"] == manifests[1]["abort_reason"] == "CFL number 5.43 >= 1; reduce dt"
+        assert manifests[0]["t_last_good"] == manifests[1]["t_last_good"]
+
+    def test_every_abort_and_config_error_survive_pickle(self):
+        """A leg's exception comes back from its worker with its message and fields."""
+        errors = [
+            BlowUpError(0.03, "CFL number 5.43 >= 1; reduce dt"),
+            BlowUpError(0.5),
+            MonotonicityError(0.25),
+            FloatingPointError("particle positions lost finiteness at t=0.001"),
+            SupportOverflowError("product support (9,0) exceeds the 16x16 grid; rerun on a larger grid"),
+            DegeneratePlaneError("directions are numerically collinear"),
+            ConfigError("[ic] k = 0 0 is the mean mode, which carries no flow", line=7),
+        ]
+        assert {type(e) for e in errors} == set(runner._ABORTS) | {ConfigError}
+        for e in errors:
+            back = pickle.loads(pickle.dumps(e))
+            assert (type(back), str(back), vars(back)) == (type(e), str(e), vars(e))
 
 
 class TestInitialState:

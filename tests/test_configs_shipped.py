@@ -1,5 +1,6 @@
 """Every shipped config parses, validates, names a real experiment, and reruns
-byte for byte.  Run as a script, prints the sha256 of every data artifact."""
+byte for byte, with one worker process or two.  Run as a script, prints the
+sha256 of every data artifact."""
 
 import copy
 import glob
@@ -41,36 +42,45 @@ def test_shipped_configs_parse():
         assert parse_config(cfg.serialize()) == cfg
 
 
-def artifact_digests(path, outdir) -> dict:
-    """{file name: sha256} of the data artifacts of one single-threaded run of the
-    shipped config at path, at its SHORTENED length, written to outdir."""
+def artifact_digests(path, outdir, threads) -> dict:
+    """{file name: sha256} of the data artifacts of one run of the shipped config
+    at path, at its SHORTENED length, with `threads` workers, written to outdir."""
     cfg = load_config(path)
     sections = copy.deepcopy(cfg.sections)
     for (section, key), value in SHORTENED.get(stem(path), {}).items():
         sections.setdefault(section, {})[key] = value
     cfg = RunConfig(cfg.experiment, sections)
-    assert run_experiment(cfg, str(outdir), seed=cfg.get("run", "seed"), threads=1) == 0
+    assert run_experiment(cfg, str(outdir), seed=cfg.get("run", "seed"), threads=threads) == 0
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in sorted(pathlib.Path(outdir).iterdir()) if f.name != "manifest.txt"}
 
 
 @pytest.mark.parametrize("path", CONFIG_PATHS, ids=stem)
 def test_single_threaded_rerun_is_byte_identical(path, tmp_path):
-    digests = [artifact_digests(path, tmp_path / name) for name in ("first", "second")]
+    digests = [artifact_digests(path, tmp_path / name, threads=1) for name in ("first", "second")]
     assert digests[0]  # every experiment writes at least one data artifact
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=stem)
+def test_two_workers_write_the_single_threaded_artifacts(path, tmp_path):
+    assert artifact_digests(path, tmp_path / "two", threads=2) == artifact_digests(path, tmp_path / "one", threads=1)
 
 
 if __name__ == "__main__":
     # "config file sha256" for every data artifact of every shipped config, after the
     # path of the alpha_fluids it ran; diff two commits' outputs with
     #   PYTHONPATH=<other checkout>/src python tests/test_configs_shipped.py > other.txt
+    import argparse
     import tempfile
 
     import alpha_fluids
 
+    parser = argparse.ArgumentParser(description="sha256 of every shipped config's data artifacts")
+    parser.add_argument("--threads", type=int, default=1, help="worker processes per run")
+    threads = parser.parse_args().threads
     print(alpha_fluids.__file__)
     for path in CONFIG_PATHS:
         with tempfile.TemporaryDirectory() as tmp:
-            for name, digest in artifact_digests(path, os.path.join(tmp, "out")).items():
+            for name, digest in artifact_digests(path, os.path.join(tmp, "out"), threads).items():
                 print(stem(path), name, digest)
